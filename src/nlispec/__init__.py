@@ -10,6 +10,14 @@ sample/reference map pair.
 
 __version__ = "0.1.0"
 
+from .config import (
+    RunConfig,
+    build_axes,
+    build_gas,
+    build_geometry,
+    build_vacuum,
+    load_run_config,
+)
 from .dispersion import (
     GasIndexModel,
     SellmeierModel,
@@ -90,12 +98,17 @@ __all__ = [
     "NlispecError",
     "RetrievalResult",
     "RowEstimate",
+    "RunConfig",
     "SellmeierModel",
     "SpectralLine",
     "UniaxialCrystalIndex",
     "ValidityRangeError",
     "absorption_coefficient",
     "absorption_from_visibility",
+    "build_axes",
+    "build_gas",
+    "build_geometry",
+    "build_vacuum",
     "check_beam_overlap",
     "collinear_phase_matching_angle",
     "crystal_phase_mismatch",
@@ -120,6 +133,7 @@ __all__ = [
     "load_map",
     "load_par_file",
     "load_result_csv",
+    "load_run_config",
     "load_uniaxial_crystal",
     "lorentz_hwhm",
     "nu_cm_from_lambda_nm",

@@ -32,7 +32,6 @@ from .errors import (
     ValidityRangeError,
 )
 from .interferometer import (
-    check_beam_overlap,
     collinear_phase_matching_angle,
     simulate_map,
     with_gaussian_noise,
@@ -93,7 +92,6 @@ def _cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
     geom = build_geometry(cfg)
     axes = build_axes(cfg)
-    check_beam_overlap(geom, axes)
     gas = build_vacuum(cfg) if args.vacuum else build_gas(cfg)
     intensity = simulate_map(geom, gas, axes)
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from .dispersion import GasIndexModel, load_uniaxial_crystal
 from .errors import ConfigError
-from .gas import GasState, nu_cm_from_lambda_nm
+from .gas import (GasState, line_grid_step, nu_cm_from_lambda_nm,
+                  uniform_grid)
 from .interferometer import (
     InterferometerGeometry,
     MapAxes,
@@ -31,7 +32,7 @@ from .interferometer import (
     detector_angle_axis,
     idler_wavelength_nm,
 )
-from .lineshape import doppler_hwhm, load_line_csv, load_par_file, lorentz_hwhm
+from .lineshape import load_line_csv, load_par_file
 from .resources import data_path
 
 _SCHEMA = {
@@ -114,23 +115,37 @@ def _resolve_data(name: str, where: str) -> str:
     raise ConfigError(f"file not found: {name}", key=where)
 
 
-def _get(section, key, where, convert=float, default=None, required=True):
+def _get(section, key, where, convert=float, default=None, required=True,
+         check=None):
+    """Parsed `key`; `check(value, key_path)` raises if it is out of range."""
     if key not in section:
         if required:
             raise ConfigError("missing required key", key=f"{where}.{key}")
         return default
     raw = section[key].strip()
     try:
-        return convert(raw)
+        value = convert(raw)
     except ValueError:
         raise ConfigError(f"cannot parse value {raw!r}",
                           key=f"{where}.{key}") from None
+    if check is not None:
+        check(value, f"{where}.{key}")
+    return value
 
 
 def _positive(value, where):
-    if value is None or value <= 0:
+    if not value > 0:
         raise ConfigError(f"must be positive, got {value}", key=where)
-    return value
+
+
+def _nonnegative(value, where):
+    if not value >= 0:
+        raise ConfigError(f"must not be negative, got {value}", key=where)
+
+
+def _fraction(value, where):
+    if not 0 <= value <= 1:
+        raise ConfigError(f"must lie in [0, 1], got {value}", key=where)
 
 
 def load_run_config(path) -> RunConfig:
@@ -174,10 +189,8 @@ def load_run_config(path) -> RunConfig:
 
     angle_axis = _angle_axis(cp, path)
 
-    lo = _positive(_get(signal, "min_nm", f"{path}:[signal_axis]"),
-                   f"{path}:[signal_axis].min_nm")
-    hi = _positive(_get(signal, "max_nm", f"{path}:[signal_axis]"),
-                   f"{path}:[signal_axis].max_nm")
+    lo = _get(signal, "min_nm", f"{path}:[signal_axis]", check=_positive)
+    hi = _get(signal, "max_nm", f"{path}:[signal_axis]", check=_positive)
     if hi <= lo:
         raise ConfigError("max_nm must exceed min_nm",
                           key=f"{path}:[signal_axis]")
@@ -204,27 +217,22 @@ def load_run_config(path) -> RunConfig:
                 required=False) if noise else 0
     if sigma_rel < 0:
         raise ConfigError("negative noise level", key=f"{path}:[noise].sigma_rel")
+    aperture_mm = _get(geometry, "aperture_mm", f"{path}:[geometry]",
+                       required=False, check=_positive)
 
     return RunConfig(
         crystal_path=_resolve_data(crystal["coefficients"].strip(),
                                    f"{path}:[crystal].coefficients"),
-        cut_angle_rad=math.radians(
-            _positive(_get(crystal, "cut_angle_deg", f"{path}:[crystal]"),
-                      f"{path}:[crystal].cut_angle_deg")),
-        pump_wavelength_nm=_positive(
-            _get(pump, "wavelength_nm", f"{path}:[pump]"),
-            f"{path}:[pump].wavelength_nm"),
+        cut_angle_rad=math.radians(_get(crystal, "cut_angle_deg",
+                                        f"{path}:[crystal]", check=_positive)),
+        pump_wavelength_nm=_get(pump, "wavelength_nm", f"{path}:[pump]",
+                                check=_positive),
         pump_axis_angle_rad=pump_angle,
-        crystal_length_cm=0.1 * _positive(
-            _get(geometry, "crystal_length_mm", f"{path}:[geometry]"),
-            f"{path}:[geometry].crystal_length_mm"),
-        gap_length_cm=0.1 * _positive(
-            _get(geometry, "gap_length_mm", f"{path}:[geometry]"),
-            f"{path}:[geometry].gap_length_mm"),
-        aperture_cm=(0.1 * _positive(
-            _get(geometry, "aperture_mm", f"{path}:[geometry]",
-                 required=False), f"{path}:[geometry].aperture_mm")
-            if "aperture_mm" in geometry else None),
+        crystal_length_cm=0.1 * _get(geometry, "crystal_length_mm",
+                                     f"{path}:[geometry]", check=_positive),
+        gap_length_cm=0.1 * _get(geometry, "gap_length_mm",
+                                 f"{path}:[geometry]", check=_positive),
+        aperture_cm=None if aperture_mm is None else 0.1 * aperture_mm,
         signal_min_nm=lo, signal_max_nm=hi, signal_samples=samples,
         angle_axis_rad=angle_axis,
         lines_path=_resolve_data(gas["lines"].strip(), f"{path}:[gas].lines"),
@@ -232,23 +240,23 @@ def load_run_config(path) -> RunConfig:
                          required=False),
         isotopologue_id=_get(gas, "isotopologue_id", f"{path}:[gas]",
                              convert=int, required=False),
-        molar_mass_g_mol=_positive(
-            _get(gas, "molar_mass_g_mol", f"{path}:[gas]"),
-            f"{path}:[gas].molar_mass_g_mol"),
-        pressure_torr=_get(gas, "pressure_torr", f"{path}:[gas]"),
-        temperature_k=_positive(_get(gas, "temperature_k", f"{path}:[gas]"),
-                                f"{path}:[gas].temperature_k"),
+        molar_mass_g_mol=_get(gas, "molar_mass_g_mol", f"{path}:[gas]",
+                              check=_positive),
+        pressure_torr=_get(gas, "pressure_torr", f"{path}:[gas]",
+                           check=_nonnegative),
+        temperature_k=_get(gas, "temperature_k", f"{path}:[gas]",
+                           check=_positive),
         self_fraction=_get(gas, "self_fraction", f"{path}:[gas]", default=1.0,
-                           required=False),
+                           required=False, check=_fraction),
         wing_cutoff_cm=_get(gas, "wing_cutoff_cm", f"{path}:[gas]",
-                            default=25.0, required=False),
+                            default=25.0, required=False, check=_positive),
         partition_ratio=_get(gas, "partition_ratio", f"{path}:[gas]",
                              default=1.0, required=False),
         visible=visible,
         grid_step_cm=_get(gas, "grid_step_cm", f"{path}:[gas]",
-                          required=False),
+                          required=False, check=_positive),
         grid_pad_cm=_get(gas, "grid_pad_cm", f"{path}:[gas]", default=30.0,
-                         required=False),
+                         required=False, check=_nonnegative),
         noise_sigma_rel=sigma_rel,
         noise_seed=seed,
     )
@@ -263,10 +271,8 @@ def _angle_axis(cp, path) -> np.ndarray:
     if keys == _DETECTOR_KEYS:
         return detector_angle_axis(
             _get(section, "pixels", where, convert=int),
-            _positive(_get(section, "pixel_pitch_um", where),
-                      f"{where}.pixel_pitch_um"),
-            _positive(_get(section, "focal_length_mm", where),
-                      f"{where}.focal_length_mm"),
+            _get(section, "pixel_pitch_um", where, check=_positive),
+            _get(section, "focal_length_mm", where, check=_positive),
         )
     if keys == _SPAN_KEYS:
         lo = _get(section, "min_mrad", where) * 1e-3
@@ -325,17 +331,12 @@ def gas_grid(cfg: RunConfig, lines) -> np.ndarray:
     hi = nu_edges.max() + cfg.grid_pad_cm
     step = cfg.grid_step_cm
     if step is None:
-        widths = [max(doppler_hwhm(ln.nu0_cm, cfg.temperature_k,
-                                   cfg.molar_mass_g_mol),
-                      lorentz_hwhm(ln, cfg.pressure_torr, cfg.temperature_k,
-                                   cfg.self_fraction)) for ln in lines]
-        step = min(widths) / 8.0
-    npts = int(math.ceil((hi - lo) / step)) + 1
-    if npts > 200001:
-        raise ConfigError(
-            f"idler grid would need {npts} points; set a coarser grid_step_cm",
-            key="[gas].grid_step_cm")
-    return np.linspace(lo, hi, npts)
+        step = line_grid_step(lines, cfg.pressure_torr, cfg.temperature_k,
+                              cfg.molar_mass_g_mol, cfg.self_fraction)
+    try:
+        return uniform_grid(lo, hi, step, "set a coarser grid_step_cm")
+    except ValueError as exc:
+        raise ConfigError(f"idler {exc}", key="[gas].grid_step_cm") from None
 
 
 def build_gas(cfg: RunConfig) -> GasState:

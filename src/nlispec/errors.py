@@ -10,7 +10,7 @@ class NlispecError(Exception):
 
 
 class ValidityRangeError(NlispecError, ValueError):
-    """A wavelength or grid fell outside a model's declared validity range."""
+    """A wavelength, grid or beam fell outside a model's validity range."""
 
 
 class ConfigError(NlispecError, ValueError):

@@ -27,7 +27,8 @@ import numpy as np
 from .dispersion import GasIndexModel, gas_index
 from .errors import ValidityRangeError
 from .kk import index_change_from_absorption
-from .lineshape import DEFAULT_WING_CUTOFF_CM, absorption_coefficient
+from .lineshape import (DEFAULT_WING_CUTOFF_CM, absorption_coefficient,
+                        doppler_hwhm, lorentz_hwhm)
 
 
 def nu_cm_from_lambda_nm(lambda_nm):
@@ -134,22 +135,31 @@ class GasState:
                                   self.visible_index())
 
 
-def default_line_grid(lines, p_torr, t_k, molar_mass_g, *, x_self=1.0,
-                      wing_cutoff_cm=DEFAULT_WING_CUTOFF_CM,
-                      points_per_hwhm=8, max_points=60001) -> np.ndarray:
-    """Uniform wavenumber grid resolving every line in the list."""
-    from .lineshape import doppler_hwhm, lorentz_hwhm
+# one cap for every idler grid; the FFT KK transform takes tens of ms here
+MAX_GRID_POINTS = 200001
 
-    widths = [max(doppler_hwhm(ln.nu0_cm, t_k, molar_mass_g),
-                  lorentz_hwhm(ln, p_torr, t_k, x_self)) for ln in lines]
-    centers = [ln.nu0_cm for ln in lines]
-    h = min(widths) / points_per_hwhm
-    lo = min(centers) - wing_cutoff_cm
-    hi = max(centers) + wing_cutoff_cm
-    npts = int(np.ceil((hi - lo) / h)) + 1
-    if npts > max_points:
+
+def line_grid_step(lines, p_torr, t_k, molar_mass_g, x_self=1.0) -> float:
+    """Grid step resolving every line: an eighth of the narrowest HWHM."""
+    return min(max(doppler_hwhm(ln.nu0_cm, t_k, molar_mass_g),
+                   lorentz_hwhm(ln, p_torr, t_k, x_self))
+               for ln in lines) / 8.0
+
+
+def uniform_grid(lo, hi, step, hint: str) -> np.ndarray:
+    """Grid from lo to hi at no more than `step`; `hint` ends the cap error."""
+    npts = int(np.ceil((hi - lo) / step)) + 1
+    if npts > MAX_GRID_POINTS:
         raise ValueError(
-            f"default grid needs {npts} points (> {max_points}); "
-            "pass nu_grid_cm explicitly"
-        )
+            f"grid needs {npts} points (> {MAX_GRID_POINTS}); {hint}")
     return np.linspace(lo, hi, npts)
+
+
+def default_line_grid(lines, p_torr, t_k, molar_mass_g, *, x_self=1.0,
+                      wing_cutoff_cm=DEFAULT_WING_CUTOFF_CM) -> np.ndarray:
+    """Uniform wavenumber grid resolving every line in the list."""
+    centers = [ln.nu0_cm for ln in lines]
+    return uniform_grid(
+        min(centers) - wing_cutoff_cm, max(centers) + wing_cutoff_cm,
+        line_grid_step(lines, p_torr, t_k, molar_mass_g, x_self),
+        "pass nu_grid_cm explicitly")

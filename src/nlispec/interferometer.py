@@ -36,6 +36,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .dispersion import UniaxialCrystalIndex, uniaxial_index, wavevector
+from .errors import ValidityRangeError
 from .gas import GasState
 
 NM_PER_CM = 1.0e7
@@ -209,7 +210,7 @@ def check_beam_overlap(geom: InterferometerGeometry, axes: MapAxes) -> float:
     theta_i = ratio * np.abs(axes.angle_rad).max()
     walk = geom.gap_length_cm * math.tan(theta_i)
     if geom.aperture_cm is not None and walk > geom.aperture_cm:
-        raise ValueError(
+        raise ValidityRangeError(
             f"idler walk {walk * 10:.2f} mm exceeds the "
             f"{geom.aperture_cm * 10:.2f} mm aperture; shrink the angle axis"
         )

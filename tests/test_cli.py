@@ -150,6 +150,26 @@ def test_exit_code_config_error(workdir, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_exit_code_out_of_range_gas_key(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CFG.replace("pressure_torr = 10.5", "pressure_torr = -3"))
+    assert main(["simulate", str(bad), "-o", str(tmp_path / "x.nlm")]) == 2
+    assert "[gas].pressure_torr" in capsys.readouterr().err
+
+
+def test_exit_code_aperture_overflow(tmp_path):
+    # the idler walks ~1.2 mm across the 25 mm gap at 6.5 mrad
+    bad = tmp_path / "tight.cfg"
+    bad.write_text(CFG.replace("gap_length_mm = 25.0",
+                               "gap_length_mm = 25.0\naperture_mm = 0.5"))
+    out = subprocess.run([sys.executable, "-m", "nlispec.cli", "simulate",
+                          str(bad), "-o", str(tmp_path / "x.nlm")],
+                         capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "aperture" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_exit_code_missing_input(workdir, tmp_path, capsys):
     code = main(["retrieve", str(tmp_path / "absent.nlm"),
                  str(workdir / "reference.nlm"), str(workdir / "run.cfg"),

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +166,37 @@ def test_rejects_malformed(tmp_path, mutate, fragment):
     with pytest.raises(ConfigError) as err:
         load_run_config(write_cfg(tmp_path, text))
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pressure_torr", "-1"),
+    ("self_fraction", "1.5"),
+    ("self_fraction", "-0.1"),
+    ("wing_cutoff_cm", "0"),
+    ("grid_step_cm", "0"),
+    ("grid_pad_cm", "-1"),
+])
+def test_rejects_out_of_range_gas_key(tmp_path, key, value):
+    text = re.sub(rf"^{key} = .*\n", "", MINIMAL, flags=re.MULTILINE)
+    with pytest.raises(ConfigError) as err:
+        load_run_config(write_cfg(tmp_path, text + f"{key} = {value}\n"))
+    assert err.value.key.endswith(f"[gas].{key}")
+
+
+def test_accepts_gas_range_edges(tmp_path):
+    text = MINIMAL.replace("pressure_torr = 10.5", "pressure_torr = 0") + \
+        "self_fraction = 0\ngrid_pad_cm = 0\n"
+    cfg = load_run_config(write_cfg(tmp_path, text))
+    assert cfg.pressure_torr == 0.0
+    assert cfg.self_fraction == 0.0
+    assert cfg.grid_pad_cm == 0.0
+
+
+def test_readme_quick_start_import_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    line = re.search(r"^from nlispec import \(.*?\)$", readme,
+                     re.MULTILINE | re.DOTALL).group(0)
+    exec(line, {})
 
 
 def test_missing_file_raises_filenotfound(tmp_path):

@@ -95,6 +95,43 @@ def test_weights_matrix_agrees_with_direct_path():
     )
 
 
+@pytest.mark.parametrize("n", [900, 901])
+def test_weights_matrix_agrees_with_fft_path_at_both_parities(n):
+    nu = np.linspace(2340.0, 2358.0, n)
+    alpha = lorentzian_alpha(nu)
+    dn = index_change_from_absorption(alpha, nu)
+    err = np.abs(index_change_weights(nu) @ alpha - dn).max()
+    assert err <= 1e-14 * np.abs(dn).max()
+
+
+def test_matches_extended_precision_direct_sum():
+    # grid nodes 2340 + j/64 and their squares are exact in binary, so
+    # the long-double sum of alpha_j / (nu_j^2 - nu_i^2) over opposite
+    # parity is the quadrature rule itself, free of rounding
+    ld = np.longdouble
+    j = np.arange(901)
+    nu = 2340.0 + j / 64.0
+    alpha = lorentzian_alpha(nu)
+    nu_ld = nu.astype(ld)
+    opposite = (j[None, :] - j[:, None]) % 2 == 1
+    denom = nu_ld[None, :] ** 2 - nu_ld[:, None] ** 2
+    denom[~opposite] = 1
+    terms = np.where(opposite, alpha.astype(ld)[None, :], 0) / denom
+    ref = terms.sum(axis=1) * (2 * ld(1 / 64) / (2 * ld(np.pi) ** 2))
+    dn = index_change_from_absorption(alpha, nu)
+    err = np.abs(dn.astype(ld) - ref).max()
+    assert float(err) <= 1e-14 * float(np.abs(ref).max())
+
+
+def test_lorentzian_on_grid_at_point_cap():
+    # 200001 points is the largest idler grid a run may ask for
+    nu = np.linspace(NU0 - 500 * GAMMA, NU0 + 500 * GAMMA, 200001)
+    dn = index_change_from_absorption(lorentzian_alpha(nu), nu)
+    sel = np.abs(nu - NU0) <= 10 * GAMMA
+    err = np.abs(dn[sel] - lorentzian_dn(nu[sel]))
+    assert err.max() <= 5e-4 * PEAK_DN
+
+
 def test_weights_structure():
     nu = np.linspace(2340.0, 2350.0, 101)
     w = index_change_weights(nu)
