@@ -69,14 +69,12 @@ from .lineshape import (
 from .mapio import IntensityMap, load_map, require_same_axes, save_map
 from .resources import data_path
 from .retrieval import (
-    FitResult,
     RetrievalResult,
     RowEstimate,
     absorption_from_visibility,
     fit_row_extrema,
-    fit_row_model,
+    fit_rows_model,
     index_offset_from_phase,
-    levenberg_marquardt,
     load_result_csv,
     retrieve,
     save_result_csv,
@@ -86,7 +84,6 @@ __all__ = [
     "__version__",
     "AxisMismatchError",
     "ConfigError",
-    "FitResult",
     "GasIndexModel",
     "GasState",
     "IntensityMap",
@@ -116,7 +113,7 @@ __all__ = [
     "detector_angle_axis",
     "doppler_hwhm",
     "fit_row_extrema",
-    "fit_row_model",
+    "fit_rows_model",
     "gap_fringe_amplitude",
     "gap_phase",
     "gas_index",
@@ -126,7 +123,6 @@ __all__ = [
     "index_offset_from_phase",
     "interference_intensity",
     "lambda_nm_from_nu_cm",
-    "levenberg_marquardt",
     "line_strength",
     "load_crystal_file",
     "load_line_csv",

@@ -169,18 +169,26 @@ def crystal_phase_mismatch(geom: InterferometerGeometry, lambda_s_nm,
     return _phases(geom.crystal_length_cm, q, k_p, k_s, k_i)
 
 
+def _gap_phase(geom: InterferometerGeometry, n_visible, n_idler,
+               lambda_s_nm, theta_rad) -> np.ndarray:
+    """delta_m for pump and signal at `n_visible`, the idler at `n_idler`
+    (scalar or one value per signal wavelength)."""
+    lam_s = np.atleast_1d(np.asarray(lambda_s_nm, dtype=float))
+    lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lam_s)
+    k_p = wavevector(n_visible, geom.pump_wavelength_nm / NM_PER_CM)
+    k_s = np.atleast_1d(wavevector(n_visible, lam_s / NM_PER_CM))[:, None]
+    k_i = np.atleast_1d(wavevector(n_idler, lam_i / NM_PER_CM))[:, None]
+    q = _transverse_q(lam_s, theta_rad)
+    return _phases(geom.gap_length_cm, q, k_p, k_s, k_i)
+
+
 def gap_phase(geom: InterferometerGeometry, gas: GasState, lambda_s_nm,
               theta_rad) -> np.ndarray:
     """delta_m [rad] across the gas-filled gap, shape (n_wavelength, n_angle)."""
     lam_s = np.atleast_1d(np.asarray(lambda_s_nm, dtype=float))
     lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lam_s)
-    n_vis = gas.visible_index()
-    n_i = np.atleast_1d(gas.idler_index_at(lam_i))
-    k_p = wavevector(n_vis, geom.pump_wavelength_nm / NM_PER_CM)
-    k_s = np.atleast_1d(wavevector(n_vis, lam_s / NM_PER_CM))[:, None]
-    k_i = np.atleast_1d(wavevector(n_i, lam_i / NM_PER_CM))[:, None]
-    q = _transverse_q(lam_s, theta_rad)
-    return _phases(geom.gap_length_cm, q, k_p, k_s, k_i)
+    return _gap_phase(geom, gas.visible_index(), gas.idler_index_at(lam_i),
+                      lam_s, theta_rad)
 
 
 def gap_fringe_amplitude(geom: InterferometerGeometry, gas: GasState,

@@ -9,16 +9,18 @@ are processed row by row, i.e. one signal wavelength at a time:
   3. invert  alpha = -ln(V) / L_m  and
              n_idler - n_visible = -dphi lambda_i / (2 pi L_m).
 
-Two per-row estimators are available.  The model engine projects the
-row onto the known vacuum fringe pattern (linear least squares on the
-basis {E, E cos phi, E sin phi} with E the sinc^2 envelope), then
-polishes amplitude, contrast and phase with a Levenberg-Marquardt fit
-that models the slight steepening of the phase shift off axis
-(factor 1/sqrt(1 - (q / k_i)^2)).  It is exact on noiseless model data.
-The extrema engine is model-free: it flattens the row with a low-order
-polynomial envelope and reads the contrast from quadratically refined
-local extrema.  It retrieves absorption only (no phase) and serves as
-an independent cross-check on the model route.
+Two per-row estimators are available.  The model engine fits each row
+to the known vacuum fringe pattern A E (1 + tau cos(phi + dphi m)),
+with E the sinc^2 envelope and m the slight steepening of the phase
+shift off axis (factor 1/sqrt(1 - (q / k_i)^2)).  It fits blocks of
+rows at once: a linear projection onto {E, E cos phi, E sin phi} gives
+the start, and damped Gauss-Newton steps on the analytic Jacobian
+polish it.  It is exact on noiseless model data.  The extrema engine is
+model-free: it flattens the row with a low-order polynomial envelope
+and reads the contrast from quadratically refined local extrema.  It
+retrieves absorption only (no phase) and serves as an independent
+cross-check on the model route.  Either engine returns NaN for a row it
+cannot read (a dim row, or too few resolved fringes) and fits the rest.
 
 Because both rows of a pair are fitted identically, estimator bias is
 common mode: it divides out of V and subtracts out of dphi.
@@ -27,120 +29,18 @@ common mode: it divides out of V and subtracts out of dphi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from .errors import AxisMismatchError, NegativeAbsorptionError
-from .gas import GasState
 from .interferometer import (
     InterferometerGeometry,
+    _gap_phase,
     crystal_phase_mismatch,
-    gap_phase,
     idler_wavelength_nm,
 )
 from .mapio import IntensityMap, require_same_axes
-
-# ------------------------------------------------------------ fitting
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Least-squares solution with curvature-based uncertainties."""
-
-    params: np.ndarray
-    covariance: np.ndarray
-    stderr: np.ndarray
-    conf95: np.ndarray
-    cost: float
-    n_iterations: int
-    converged: bool
-    residual: np.ndarray = field(repr=False)
-
-
-def _jacobian(residual_fn, x, scales):
-    r0 = np.asarray(residual_fn(x), dtype=float)
-    jac = np.empty((r0.size, x.size))
-    for k in range(x.size):
-        h = 1e-6 * scales[k]
-        up, down = x.copy(), x.copy()
-        up[k] += h
-        down[k] -= h
-        jac[:, k] = (np.asarray(residual_fn(up), dtype=float)
-                     - np.asarray(residual_fn(down), dtype=float)) / (2.0 * h)
-    return jac
-
-
-def levenberg_marquardt(residual_fn, x0, *, scales=None, xtol=1e-8,
-                        ftol=1e-10, max_iterations=200,
-                        damping0=1e-3) -> FitResult:
-    """Minimize sum(residual_fn(x)^2) with Marquardt-scaled damping.
-
-    `scales` sets the characteristic size of each parameter (finite
-    difference steps and the convergence test are relative to it);
-    defaults to max(|x0|, 1) per component.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    if x.ndim != 1:
-        raise ValueError("x0 must be 1-d")
-    if scales is None:
-        scales = np.maximum(np.abs(x), 1.0)
-    scales = np.asarray(scales, dtype=float)
-    if scales.shape != x.shape or np.any(scales <= 0):
-        raise ValueError("scales must be positive, one per parameter")
-
-    r = np.asarray(residual_fn(x), dtype=float)
-    cost = float(r @ r)
-    lam = damping0
-    converged = False
-    iteration = 0
-    while iteration < max_iterations and not converged:
-        iteration += 1
-        jac = _jacobian(residual_fn, x, scales)
-        hess = jac.T @ jac
-        grad = jac.T @ r
-        diag = np.maximum(np.diag(hess), 1e-300)
-        accepted = False
-        while lam <= 1e12:
-            try:
-                step = np.linalg.solve(hess + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            r_try = np.asarray(residual_fn(x + step), dtype=float)
-            cost_try = float(r_try @ r_try)
-            if cost_try <= cost:
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            break  # damping exhausted: stuck
-        x = x + step
-        drop = cost - cost_try
-        r, cost = r_try, cost_try
-        lam = max(lam / 10.0, 1e-12)
-        if np.all(np.abs(step) <= xtol * scales):
-            converged = True
-        if drop <= ftol * max(cost, 1e-300):
-            converged = True
-
-    jac = _jacobian(residual_fn, x, scales)
-    hess = jac.T @ jac
-    dof = r.size - x.size
-    s2 = cost / dof if dof > 0 else 0.0
-    try:
-        cov = np.linalg.inv(hess) * s2
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(hess) * s2
-    stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    if dof > 0:
-        conf95 = float(student_t.ppf(0.975, dof)) * stderr
-    else:
-        conf95 = np.full_like(stderr, math.nan)
-    return FitResult(params=x, covariance=cov, stderr=stderr,
-                     conf95=conf95, cost=cost,
-                     n_iterations=iteration, converged=converged, residual=r)
 
 
 # ------------------------------------------------------------ inversions
@@ -163,7 +63,7 @@ def absorption_from_visibility(visibility, gap_length_cm: float,
     alpha = -np.log(v) / gap_length_cm
     if np.any(v > 1.0):
         if on_negative == "raise":
-            worst = float(alpha.min())
+            worst = float(np.nanmin(alpha))
             raise NegativeAbsorptionError(worst)
         if on_negative == "clip":
             alpha = np.maximum(alpha, 0.0)
@@ -186,46 +86,124 @@ def index_offset_from_phase(phase_shift_rad, idler_wavelength_nm_,
 
 @dataclass(frozen=True)
 class RowEstimate:
-    amplitude: float
-    contrast: float          # fringe amplitude tau of this row
-    phase_rad: float         # fringe phase against the model pattern
-    sigma_contrast: float
-    sigma_phase: float
+    """Fringe parameters: per-row arrays from `fit_rows_model`, scalars
+    from `fit_row_extrema`."""
+
+    amplitude: np.ndarray | float
+    contrast: np.ndarray | float      # fringe amplitude tau of the row
+    phase_rad: np.ndarray | float     # fringe phase against the model pattern
+    sigma_contrast: np.ndarray | float
+    sigma_phase: np.ndarray | float
 
 
-def _linear_row_fit(row, envelope, cos_phi, sin_phi):
-    design = np.column_stack((envelope, envelope * cos_phi, envelope * sin_phi))
-    coef, *_ = np.linalg.lstsq(design, row, rcond=None)
-    a0, ac, as_ = coef
-    if a0 <= 0:
-        raise ValueError("row has non-positive mean amplitude; not a fringe row")
-    return a0, math.hypot(ac, as_) / a0, math.atan2(-as_, ac)
+# Polish stopping rule, per row: a step within _XTOL (relative to the
+# linear-stage amplitude for A, absolute for tau and phase) or a cost
+# drop within _FTOL of the cost ends the fit; so does damping past 1e12.
+_XTOL = 1e-8
+_FTOL = 1e-10
+_DAMPING0 = 1e-3
+_MAX_TRIALS = 200
+# Rows fitted together.  Bounds the (rows x angles x 3) Jacobian and the
+# per-block copies, which for a whole map would outgrow the maps.
+_BLOCK_ROWS = 64
 
 
-def fit_row_model(row, envelope, phase, steepening=None, *,
-                  polish: bool = True) -> RowEstimate:
-    """Fringe parameters of one row against a known vacuum pattern.
+def _project(rows, envelope, phase):
+    """Linear stage: (A, tau, phase) per row from least squares on
+    {E, E cos phi, E sin phi}; NaN where A is not positive."""
+    design = np.stack((envelope, envelope * np.cos(phase),
+                       envelope * np.sin(phase)), axis=-1)
+    design_t = design.transpose(0, 2, 1)
+    a0, ac, as_ = np.linalg.solve(design_t @ design,
+                                  design_t @ rows[..., None])[..., 0].T
+    amp = np.where(a0 > 0, a0, math.nan)
+    params = np.column_stack((amp, np.hypot(ac, as_) / amp,
+                              np.arctan2(-as_, ac)))
+    params[np.isnan(amp)] = math.nan
+    return params
 
+
+def _residual(params, rows, envelope, phase, steepening):
+    """A E (1 + tau cos(phi + dphi m)) - row, and its Jacobian."""
+    amp, tau, dphi = params[:, 0:1], params[:, 1:2], params[:, 2:3]
+    arg = phase + dphi * steepening
+    cos, sin = np.cos(arg), np.sin(arg)
+    jac = np.stack((envelope * (1.0 + tau * cos), amp * envelope * cos,
+                    -amp * tau * steepening * envelope * sin), axis=-1)
+    return amp * envelope * (1.0 + tau * cos) - rows, jac
+
+
+def _polish(params, rows, envelope, phase, steepening):
+    """Damped Gauss-Newton from the linear stage, one damping factor and
+    stopping rule per row.  Returns the parameters and the standard
+    errors of (tau, phase) from J^T J at the optimum, scaled by
+    cost / dof."""
+    params = params.copy()
+    scales = np.ones_like(params)
+    scales[:, 0] = np.maximum(params[:, 0], 1e-12)
+    resid, jac = _residual(params, rows, envelope, phase, steepening)
+    cost = np.einsum("rm,rm->r", resid, resid)
+    damping = np.full(len(params), _DAMPING0)
+    live = np.arange(len(params))
+    for _ in range(_MAX_TRIALS):
+        if live.size == 0:
+            break
+        jac_t = jac[live].transpose(0, 2, 1)
+        hess = jac_t @ jac_t.transpose(0, 2, 1)
+        diag = np.maximum(np.diagonal(hess, axis1=1, axis2=2), 1e-300)
+        hess += damping[live, None, None] * diag[:, :, None] * np.eye(3)
+        step = np.linalg.solve(hess, -jac_t @ resid[live, :, None])[..., 0]
+        trial = params[live] + step
+        resid_try, jac_try = _residual(trial, rows[live], envelope[live],
+                                       phase[live], steepening[live])
+        cost_try = np.einsum("rm,rm->r", resid_try, resid_try)
+        ok = cost_try <= cost[live]
+        done = ok & (np.all(np.abs(step) <= _XTOL * scales[live], axis=1)
+                     | (cost[live] - cost_try
+                        <= _FTOL * np.maximum(cost_try, 1e-300)))
+        took = live[ok]
+        params[took], cost[took] = trial[ok], cost_try[ok]
+        resid[took], jac[took] = resid_try[ok], jac_try[ok]
+        damping[live] = np.where(ok, np.maximum(damping[live] / 10.0, 1e-12),
+                                 damping[live] * 10.0)
+        live = live[~done & (damping[live] <= 1e12)]
+
+    dof = rows.shape[1] - params.shape[1]
+    s2 = cost / dof if dof > 0 else np.full_like(cost, math.nan)
+    cov = np.linalg.pinv(jac.transpose(0, 2, 1) @ jac)
+    var = np.diagonal(cov, axis1=1, axis2=2)[:, 1:] * s2[:, None]
+    return params, np.sqrt(np.maximum(var, 0.0))
+
+
+def fit_rows_model(rows, envelope, phase, steepening=None, *,
+                   polish: bool = True) -> RowEstimate:
+    """Fringe parameters of many rows against a known vacuum pattern.
+
+    Every argument is an (n_rows, n_angle) array or a single row.
     `phase` and `envelope` come from the forward model of the empty
     interferometer; `steepening` is the off-axis phase-shift multiplier
-    (1 on axis), used only by the polish stage.
+    (1 on axis), used only by the polish stage.  Without `polish` the
+    linear projection is returned and the sigmas are NaN.  A row whose
+    projected amplitude is not positive is no fringe row: every field
+    of it is NaN, and the other rows are fitted as usual.
     """
-    row = np.asarray(row, dtype=float)
-    cos_phi, sin_phi = np.cos(phase), np.sin(phase)
-    amp, tau, dphi = _linear_row_fit(row, envelope, cos_phi, sin_phi)
-    if not polish:
-        return RowEstimate(amp, tau, dphi, math.nan, math.nan)
-    m = np.ones_like(row) if steepening is None else steepening
-
-    def residual(p):
-        return p[0] * envelope * (1.0 + p[1] * np.cos(phase + p[2] * m)) - row
-
-    fit = levenberg_marquardt(
-        residual, np.array([amp, tau, dphi]),
-        scales=np.array([max(amp, 1e-12), 1.0, 1.0]),
-    )
-    amp, tau, dphi = fit.params
-    return RowEstimate(amp, tau, dphi, fit.stderr[1], fit.stderr[2])
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    envelope = np.broadcast_to(envelope, rows.shape)
+    phase = np.broadcast_to(phase, rows.shape)
+    steepening = np.broadcast_to(1.0 if steepening is None else steepening,
+                                 rows.shape)
+    params = np.empty((rows.shape[0], 3))
+    sigma = np.full((rows.shape[0], 2), math.nan)
+    for start in range(0, rows.shape[0], _BLOCK_ROWS):
+        blk = slice(start, start + _BLOCK_ROWS)
+        p = _project(rows[blk], envelope[blk], phase[blk])
+        good = ~np.isnan(p[:, 0])
+        if polish and good.any():
+            p[good], sigma[blk][good] = _polish(
+                p[good], rows[blk][good], envelope[blk][good],
+                phase[blk][good], steepening[blk][good])
+        params[blk] = p
+    return RowEstimate(*params.T, *sigma.T)
 
 
 def refine_extrema(values):
@@ -313,16 +291,7 @@ class RetrievalResult:
     meta: dict = field(default_factory=dict)
 
 
-def _flat_state(visible_index: float) -> GasState:
-    """Dispersionless gas with the given visible index everywhere."""
-    if visible_index == 1.0:
-        return GasState.vacuum()
-    from .dispersion import GasIndexModel
-    model = GasIndexModel(n0=visible_index, p0_torr=760.0, t0_k=300.0)
-    return GasState(p_torr=760.0, t_k=300.0, visible=model)
-
-
-def _model_pattern(geom: InterferometerGeometry, axes,
+def _model_pattern(geom: InterferometerGeometry, lambda_s_nm, theta_rad,
                    visible_index: float = 1.0):
     """Template phase, envelope and phase-shift steepening per row.
 
@@ -330,15 +299,25 @@ def _model_pattern(geom: InterferometerGeometry, axes,
     of the medium in the gap, so the fitted phase parameter measures
     purely the idler index offset from that baseline.
     """
-    delta = crystal_phase_mismatch(geom, axes.wavelength_nm, axes.angle_rad)
-    delta_m = gap_phase(geom, _flat_state(visible_index), axes.wavelength_nm,
-                        axes.angle_rad)
+    delta = crystal_phase_mismatch(geom, lambda_s_nm, theta_rad)
+    delta_m = _gap_phase(geom, visible_index, visible_index, lambda_s_nm,
+                         theta_rad)
     envelope = np.sinc(delta / (2.0 * math.pi)) ** 2
-    lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, axes.wavelength_nm)
-    q_over_ki = (np.sin(axes.angle_rad)[None, :]
-                 * (lam_i / axes.wavelength_nm)[:, None])
+    lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lambda_s_nm)
+    q_over_ki = np.sin(theta_rad)[None, :] * (lam_i / lambda_s_nm)[:, None]
     steepening = 1.0 / np.sqrt(1.0 - q_over_ki**2)
     return delta + delta_m, envelope, steepening
+
+
+def _fit_rows_extrema(rows) -> RowEstimate:
+    """`fit_row_extrema` on each row; a row it cannot read is NaN."""
+    fields = np.full((5, len(rows)), math.nan)
+    for i, row in enumerate(rows):
+        try:
+            fields[:, i] = astuple(fit_row_extrema(row))
+        except ValueError:
+            pass
+    return RowEstimate(*fields)
 
 
 def retrieve(sample: IntensityMap, reference: IntensityMap,
@@ -351,7 +330,8 @@ def retrieve(sample: IntensityMap, reference: IntensityMap,
     `reference` must be recorded with an evacuated gap on identical
     axes.  `rows` selects a subset of wavelength rows (indices); the
     default processes all of them.  The extrema engine yields only
-    visibility and absorption (phase columns are NaN).
+    visibility and absorption (phase columns are NaN).  A row that
+    either engine cannot fit comes back NaN in every fitted column.
 
     The visible-band index of whatever fills the gap is assumed known
     (it only nudges the fringe template); pass it per map so the
@@ -372,38 +352,26 @@ def retrieve(sample: IntensityMap, reference: IntensityMap,
     lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lam_s)
 
     if engine == "model":
-        phase_s, env_all, steep_all = _model_pattern(
-            geom, axes, sample_visible_index)
+        phase_s, envelope, steepening = _model_pattern(
+            geom, lam_s, axes.angle_rad, sample_visible_index)
         if reference_visible_index == sample_visible_index:
             phase_r = phase_s
         else:
             phase_r, _, _ = _model_pattern(
-                geom, axes, reference_visible_index)
-
-    n = row_idx.size
-    vis = np.empty(n)
-    vis_sigma = np.empty(n)
-    dphi = np.full(n, math.nan)
-    dphi_sigma = np.full(n, math.nan)
-    for out_i, i in enumerate(row_idx):
-        if engine == "model":
-            est_s = fit_row_model(sample.intensity[i], env_all[i],
-                                  phase_s[i], steep_all[i], polish=polish)
-            est_r = fit_row_model(reference.intensity[i], env_all[i],
-                                  phase_r[i], steep_all[i], polish=polish)
-            dphi[out_i] = est_s.phase_rad - est_r.phase_rad
-            if polish:
-                dphi_sigma[out_i] = math.hypot(est_s.sigma_phase,
-                                               est_r.sigma_phase)
-        else:
-            est_s = fit_row_extrema(sample.intensity[i])
-            est_r = fit_row_extrema(reference.intensity[i])
-        vis[out_i] = est_s.contrast / est_r.contrast
-        rel_s = (est_s.sigma_contrast / est_s.contrast
-                 if est_s.contrast else math.nan)
-        rel_r = (est_r.sigma_contrast / est_r.contrast
-                 if est_r.contrast else math.nan)
-        vis_sigma[out_i] = vis[out_i] * math.hypot(rel_s, rel_r)
+                geom, lam_s, axes.angle_rad, reference_visible_index)
+        est_s = fit_rows_model(sample.intensity[row_idx], envelope, phase_s,
+                               steepening, polish=polish)
+        est_r = fit_rows_model(reference.intensity[row_idx], envelope,
+                               phase_r, steepening, polish=polish)
+        dphi = est_s.phase_rad - est_r.phase_rad
+        dphi_sigma = np.hypot(est_s.sigma_phase, est_r.sigma_phase)
+    else:
+        est_s = _fit_rows_extrema(sample.intensity[row_idx])
+        est_r = _fit_rows_extrema(reference.intensity[row_idx])
+        dphi = dphi_sigma = np.full(row_idx.size, math.nan)
+    vis = est_s.contrast / est_r.contrast
+    vis_sigma = vis * np.hypot(est_s.sigma_contrast / est_s.contrast,
+                               est_r.sigma_contrast / est_r.contrast)
 
     alpha = absorption_from_visibility(vis, geom.gap_length_cm,
                                        on_negative=on_negative)

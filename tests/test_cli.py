@@ -4,9 +4,12 @@ import sys
 import numpy as np
 import pytest
 
+from nlispec import data_path
 from nlispec.cli import main
+from nlispec.config import build_gas, build_geometry, load_run_config
+from nlispec.dispersion import gas_index
 from nlispec.mapio import load_map
-from nlispec.retrieval import load_result_csv
+from nlispec.retrieval import _model_pattern, load_result_csv
 
 CFG = """\
 [crystal]
@@ -210,3 +213,86 @@ def test_csv_and_pgm_outputs(workdir, tmp_path):
         assert main(["simulate", cfg, "-o", str(out)]) == 0
         m = load_map(out)
         assert m.intensity.shape == (16, 257)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats alone costs ~0.2 s and ~20 MB on every CLI call
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nlispec; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+# ------------------------------------------------- full-size shipped demo
+
+DEMO_CFG = str(data_path("co2_demo.cfg"))
+DEMO_NOISE = ("0", "1e-3", "3e-2")
+
+
+@pytest.fixture(scope="module")
+def demo_dir(tmp_path_factory):
+    """The README quick-start maps, 512 x 640, at each noise level."""
+    d = tmp_path_factory.mktemp("demo")
+    for noise in DEMO_NOISE:
+        assert main(["simulate", DEMO_CFG, "-o", str(d / f"s{noise}.nlm"),
+                     "--noise", noise]) == 0
+        assert main(["simulate", DEMO_CFG, "-o", str(d / f"r{noise}.nlm"),
+                     "--noise", noise, "--vacuum"]) == 0
+    return d
+
+
+def _cli_retrieve(d, noise, out, *options):
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlispec.cli", "retrieve",
+         str(d / f"s{noise}.nlm"), str(d / f"r{noise}.nlm"), DEMO_CFG,
+         "-o", str(out), *options], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    return load_result_csv(out)
+
+
+def _projected_amplitude(intensity, phase, envelope):
+    """Per-row lstsq amplitude on {E, E cos phi, E sin phi}."""
+    return np.array([
+        np.linalg.lstsq(np.column_stack((e, e * np.cos(p), e * np.sin(p))),
+                        row, rcond=None)[0][0]
+        for row, p, e in zip(intensity, phase, envelope)])
+
+
+@pytest.mark.parametrize("noise", DEMO_NOISE)
+def test_retrieve_full_demo_nan_only_on_dark_rows(demo_dir, tmp_path, noise):
+    res = _cli_retrieve(demo_dir, noise, tmp_path / "model.csv")
+    cfg = load_run_config(DEMO_CFG)
+    geom = build_geometry(cfg)
+    sample = load_map(demo_dir / f"s{noise}.nlm")
+    reference = load_map(demo_dir / f"r{noise}.nlm")
+    axes = sample.axes
+    n_vis = gas_index(cfg.visible, cfg.pressure_torr, cfg.temperature_k)
+    phase_s, envelope, _ = _model_pattern(geom, axes.wavelength_nm,
+                                          axes.angle_rad, n_vis)
+    phase_r, _, _ = _model_pattern(geom, axes.wavelength_nm, axes.angle_rad)
+    dark = ((_projected_amplitude(sample.intensity, phase_s, envelope) <= 0)
+            | (_projected_amplitude(reference.intensity, phase_r,
+                                    envelope) <= 0))
+    np.testing.assert_array_equal(np.isnan(res.alpha_cm), dark)
+    np.testing.assert_array_equal(np.isnan(res.index_offset), dark)
+    if noise == "0":
+        truth = build_gas(cfg)
+        lam_i = res.idler_wavelength_nm
+        assert np.abs(res.alpha_cm
+                      - truth.idler_absorption_at(lam_i)).max() <= 1e-8
+        assert np.abs(n_vis + res.index_offset
+                      - truth.idler_index_at(lam_i)).max() <= 1e-11
+
+
+def test_retrieve_full_demo_extrema_engine(demo_dir, tmp_path):
+    # the polynomial envelope goes non-positive on a few edge rows; those
+    # rows are NaN and the rest cross-check the model engine
+    ext = _cli_retrieve(demo_dir, "0", tmp_path / "ext.csv",
+                        "--engine", "extrema")
+    model = _cli_retrieve(demo_dir, "0", tmp_path / "model.csv")
+    finite = np.isfinite(ext.alpha_cm)
+    assert finite.sum() >= 480
+    assert np.abs(ext.alpha_cm[finite] - model.alpha_cm[finite]).max() <= 5e-3

@@ -10,107 +10,13 @@ from nlispec.mapio import IntensityMap
 from nlispec.retrieval import (
     absorption_from_visibility,
     fit_row_extrema,
-    fit_row_model,
+    fit_rows_model,
     index_offset_from_phase,
-    levenberg_marquardt,
     refine_extrema,
     retrieve,
 )
 
 from conftest import flat_gas
-
-
-# ------------------------------------------------------------ solver
-
-def test_lm_solves_linear_problem_exactly():
-    rng = np.random.default_rng(0)
-    design = rng.normal(size=(40, 3))
-    truth = np.array([1.5, -2.0, 0.25])
-    y = design @ truth
-
-    fit = levenberg_marquardt(lambda p: design @ p - y, np.zeros(3))
-    assert fit.converged
-    np.testing.assert_allclose(fit.params, truth, atol=1e-9)
-    assert fit.cost < 1e-18
-
-
-def test_lm_recovers_exponential_decay():
-    x = np.linspace(0.0, 5.0, 60)
-    truth = (2.5, 1.3, 0.4)
-    y = truth[0] * np.exp(-truth[1] * x) + truth[2]
-
-    def resid(p):
-        return p[0] * np.exp(-p[1] * x) + p[2] - y
-
-    fit = levenberg_marquardt(resid, np.array([1.0, 0.5, 0.0]))
-    assert fit.converged
-    np.testing.assert_allclose(fit.params, truth, rtol=1e-7)
-
-
-def test_lm_agrees_with_scipy_on_noisy_data():
-    rng = np.random.default_rng(42)
-    x = np.linspace(0.0, 4.0, 80)
-    y = 2.0 * np.exp(-0.9 * x) + 0.1 + rng.normal(0.0, 0.01, x.size)
-
-    def resid(p):
-        return p[0] * np.exp(-p[1] * x) + p[2] - y
-
-    ours = levenberg_marquardt(resid, np.array([1.0, 1.0, 0.0]))
-    ref = least_squares(resid, np.array([1.0, 1.0, 0.0]), method="lm")
-    np.testing.assert_allclose(ours.params, ref.x, rtol=1e-6)
-
-    # curvature covariance should also match scipy's J^T J at the optimum
-    jac = ref.jac
-    dof = x.size - 3
-    cov_ref = np.linalg.inv(jac.T @ jac) * (2 * ref.cost / dof)
-    np.testing.assert_allclose(ours.covariance, cov_ref, rtol=1e-3)
-
-
-def test_lm_scale_invariance():
-    # same problem expressed in different units converges to scaled params
-    x = np.linspace(0.0, 5.0, 50)
-    y = 3.0 * np.exp(-1.1 * x)
-
-    def resid_small(p):
-        return p[0] * np.exp(-p[1] * x) - y
-
-    def resid_big(p):
-        return p[0] * 1e-6 * np.exp(-p[1] * x) - y
-
-    a = levenberg_marquardt(resid_small, np.array([1.0, 1.0]))
-    b = levenberg_marquardt(resid_big, np.array([1e6, 1.0]),
-                            scales=np.array([1e6, 1.0]))
-    assert a.converged and b.converged
-    assert b.params[0] * 1e-6 == pytest.approx(a.params[0], rel=1e-7)
-    assert b.params[1] == pytest.approx(a.params[1], rel=1e-7)
-
-
-def test_lm_reports_failure_on_runaway_minimum():
-    # cost approaches its infimum only as p -> -inf; with the iteration
-    # budget capped the solver must admit it has not converged
-    fit = levenberg_marquardt(lambda p: np.array([math.exp(p[0]) + 1.0]),
-                              np.array([0.0]), max_iterations=3)
-    assert not fit.converged
-
-
-def test_lm_confidence_interval_uses_student_t():
-    rng = np.random.default_rng(1)
-    x = np.linspace(0.0, 1.0, 13)  # dof = 13 - 3 = 10
-    y = 1.0 + 2.0 * x + 0.5 * x**2 + rng.normal(0.0, 0.05, x.size)
-
-    def resid(p):
-        return p[0] + p[1] * x + p[2] * x**2 - y
-
-    fit = levenberg_marquardt(resid, np.zeros(3))
-    np.testing.assert_allclose(fit.conf95, 2.2281388519649385 * fit.stderr,
-                               rtol=1e-9)
-
-
-def test_lm_input_validation():
-    with pytest.raises(ValueError):
-        levenberg_marquardt(lambda p: p, np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        levenberg_marquardt(lambda p: p, np.zeros(2), scales=np.array([1.0, 0.0]))
 
 
 # ------------------------------------------------------------ inversions
@@ -151,24 +57,61 @@ def _synthetic_row(amp, tau, dphi, n=257):
 
 def test_fit_row_model_exact_on_model_rows():
     row, envelope, phase = _synthetic_row(3.7, 0.62, 0.21)
-    est = fit_row_model(row, envelope, phase)
-    assert est.amplitude == pytest.approx(3.7, rel=1e-9)
-    assert est.contrast == pytest.approx(0.62, rel=1e-9)
-    assert est.phase_rad == pytest.approx(0.21, abs=1e-9)
+    est = fit_rows_model(row, envelope, phase)
+    assert est.amplitude[0] == pytest.approx(3.7, rel=1e-9)
+    assert est.contrast[0] == pytest.approx(0.62, rel=1e-9)
+    assert est.phase_rad[0] == pytest.approx(0.21, abs=1e-9)
 
 
 def test_fit_row_model_linear_stage_alone():
     row, envelope, phase = _synthetic_row(1.0, 0.4, -0.5)
-    est = fit_row_model(row, envelope, phase, polish=False)
-    assert est.contrast == pytest.approx(0.4, rel=1e-9)
-    assert est.phase_rad == pytest.approx(-0.5, abs=1e-9)
-    assert math.isnan(est.sigma_contrast)
+    est = fit_rows_model(row, envelope, phase, polish=False)
+    assert est.contrast[0] == pytest.approx(0.4, rel=1e-9)
+    assert est.phase_rad[0] == pytest.approx(-0.5, abs=1e-9)
+    assert math.isnan(est.sigma_contrast[0])
 
 
 def test_fit_row_model_rejects_dark_row():
-    _, envelope, phase = _synthetic_row(1.0, 0.5, 0.0)
-    with pytest.raises(ValueError, match="amplitude"):
-        fit_row_model(-np.ones_like(envelope), envelope, phase)
+    # a dark row is NaN in every field; its neighbour is fitted as usual
+    row, envelope, phase = _synthetic_row(1.0, 0.5, 0.3)
+    est = fit_rows_model(np.vstack((-np.ones_like(row), row)), envelope,
+                         phase)
+    dark = [getattr(est, f)[0] for f in ("amplitude", "contrast",
+                                         "phase_rad", "sigma_contrast",
+                                         "sigma_phase")]
+    assert all(math.isnan(v) for v in dark)
+    assert est.contrast[1] == pytest.approx(0.5, rel=1e-9)
+    assert est.phase_rad[1] == pytest.approx(0.3, abs=1e-9)
+
+
+def test_fit_rows_model_agrees_with_scipy_lm():
+    # noisy rows with off-axis steepening: same optimum as MINPACK, and
+    # sigmas from J^T J at that optimum scaled by cost / dof
+    rng = np.random.default_rng(42)
+    theta = np.linspace(-1.0, 1.0, 257)
+    phase = 12.0 * theta**2 + 0.3
+    envelope = np.sinc(0.3 * theta) ** 2
+    steepening = 1.0 / np.sqrt(1.0 - (0.4 * theta) ** 2)
+    truth = np.array([[3.7, 0.62, 0.21], [1.0, 0.35, -0.8],
+                      [0.2, 0.9, 1.4], [2.5, 0.05, 0.6]])
+
+    def model(p):
+        return p[0] * envelope * (1.0 + p[1] * np.cos(phase
+                                                      + p[2] * steepening))
+
+    rows = np.array([model(p) + rng.normal(0.0, 0.01, theta.size)
+                     for p in truth])
+    est = fit_rows_model(rows, envelope, phase, steepening)
+    for i, row in enumerate(rows):
+        ref = least_squares(lambda p: model(p) - row, truth[i], method="lm",
+                            xtol=1e-12, ftol=1e-12)
+        ours = [est.amplitude[i], est.contrast[i], est.phase_rad[i]]
+        np.testing.assert_allclose(ours, ref.x, rtol=1e-6)
+        dof = theta.size - 3
+        cov = np.linalg.inv(ref.jac.T @ ref.jac) * (2.0 * ref.cost / dof)
+        np.testing.assert_allclose(
+            [est.sigma_contrast[i], est.sigma_phase[i]],
+            np.sqrt(np.diag(cov))[1:], rtol=1e-3)
 
 
 def test_refine_extrema_quadratic_interpolation():
