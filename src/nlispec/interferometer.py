@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dispersion import UniaxialCrystalIndex, uniaxial_index, wavevector
 from .errors import ValidityRangeError
@@ -250,22 +249,26 @@ def collinear_phase_matching_angle(crystal: UniaxialCrystalIndex,
                                    pump_nm: float, signal_nm: float) -> float:
     """Pump-to-axis angle [rad] nulling delta at theta = 0.
 
-    Solves n_pump(angle) / lambda_p = n_o(lambda_s) / lambda_s
-    + n_o(lambda_i) / lambda_i over (0, pi/2); raises if the crystal
-    cannot reach the required pump index.
+    The pump index must reach n_t = lambda_p * (n_o(lambda_s) / lambda_s
+    + n_o(lambda_i) / lambda_i).  The index ellipsoid at the pump
+    wavelength, 1/n^2 = cos^2/n_o^2 + sin^2/n_e^2, gives it in closed form:
+
+        sin^2(angle) = (n_o^-2 - n_t^-2) / (n_o^-2 - n_e^-2).
+
+    Raises ValidityRangeError unless 0 < sin^2(angle) <= 1, the (0, pi/2]
+    range of InterferometerGeometry (an isotropic crystal never matches).
     """
     idler_nm = idler_wavelength_nm(pump_nm, signal_nm)
     target = pump_nm * 1e-7 * (
         crystal.n_ordinary(signal_nm * 1e-3) / (signal_nm * 1e-7)
         + crystal.n_ordinary(idler_nm * 1e-3) / (idler_nm * 1e-7)
     )
-
-    def mismatch(angle):
-        return uniaxial_index(crystal, pump_nm * 1e-3, angle) - target
-
-    lo, hi = 1e-6, math.pi / 2
-    if mismatch(lo) * mismatch(hi) > 0:
-        raise ValueError(
+    inv_o = crystal.n_ordinary(pump_nm * 1e-3) ** -2
+    inv_e = crystal.n_extraordinary(pump_nm * 1e-3) ** -2
+    den = inv_o - inv_e
+    sin2 = (inv_o - target ** -2) / den if den else math.nan
+    if not 0.0 < sin2 <= 1.0:
+        raise ValidityRangeError(
             f"no pump angle reaches index {target:.6f} at {pump_nm:g} nm"
         )
-    return brentq(mismatch, lo, hi, xtol=1e-12)
+    return math.asin(math.sqrt(sin2))

@@ -6,9 +6,15 @@ Units, fixed throughout this module:
   - pressure in Torr, temperature in K, molar mass in g/mol
   - absorption coefficient in cm^-1, number density in cm^-3
 
-The Voigt evaluation goes through the complex probability function
-(scipy.special.wofz, Humlicek-class accuracy ~1e-6 relative), which is
-exercised against analytic Gaussian/Lorentzian limits in the tests.
+The Voigt profile is the real part of the Faddeeva function
+w(z) = exp(-z^2) erfc(-iz), evaluated in numpy for Im z >= 0:
+Weideman's 32-term rational approximation for |z| < 50 (J. A. C.
+Weideman, SIAM J. Numer. Anal. 31, 1497, 1994) and the asymptotic
+series i/(sqrt(pi) z) sum_k (2k-1)!!/(2z^2)^k, k <= 4, beyond.  The
+error is about 4e-14 of the profile peak, absolute; the pure-Gaussian
+limit (zero Lorentz width) is evaluated exactly as exp(-x^2).  Relative
+error is therefore large only far out in a nearly Gaussian tail, where
+exp(-x^2) is below ~1e-14 of the peak.
 
 Line lists come either from a self-describing CSV or from fixed-width
 160-column transition records (the common .par layout).  Column spans
@@ -34,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
 from .errors import LineParseError
 
@@ -48,6 +53,49 @@ T_REF_K = 296.0                 # line-list reference temperature
 DEFAULT_WING_CUTOFF_CM = 25.0
 
 _SQRT_2LN2 = math.sqrt(2.0 * math.log(2.0))
+
+
+def _weideman_coefficients(n: int) -> tuple[float, np.ndarray]:
+    """Scale L and Horner-ordered coefficients of Weideman's w(z) series.
+
+    The coefficients are the Fourier coefficients of
+    exp(-t^2) (L^2 + t^2) under t = L tan(theta / 2), sampled at 4n
+    points, with the optimal L = sqrt(n / sqrt(2)).
+    """
+    m = 2 * n
+    scale = math.sqrt(n / math.sqrt(2.0))
+    t = scale * np.tan(np.arange(-m + 1, m) * math.pi / (2 * m))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (scale * scale + t * t)))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return scale, a[n:0:-1]
+
+
+_W_SCALE, _W_COEFFS = _weideman_coefficients(32)
+_W_FAR = 50.0   # |z| from which the asymptotic series takes over
+
+
+def faddeeva(z):
+    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 0.
+
+    Weideman's 32-term rational approximation for |z| < 50, the
+    asymptotic series to (2z^2)^-4 beyond; absolute error ~4e-14.
+    """
+    z = np.asarray(z, dtype=complex)
+    w = np.empty_like(z)
+    far = np.abs(z) >= _W_FAR
+    zf = z[far]
+    r = 0.5 / (zf * zf)
+    w[far] = 1j / (math.sqrt(math.pi) * zf) * (
+        1.0 + r * (1.0 + 3.0 * r * (1.0 + 5.0 * r * (1.0 + 7.0 * r))))
+    zn = z[~far]
+    d = _W_SCALE - 1j * zn
+    big_z = (_W_SCALE + 1j * zn) / d
+    p = np.full_like(zn, _W_COEFFS[0])
+    for c in _W_COEFFS[1:]:
+        p *= big_z
+        p += c
+    w[~far] = 2.0 * p / (d * d) + 1.0 / (math.sqrt(math.pi) * d)
+    return w
 
 
 @dataclass(frozen=True)
@@ -114,8 +162,13 @@ def voigt_profile(delta_nu_cm, gamma_doppler_cm: float, gamma_lorentz_cm: float)
         raise ValueError(f"negative Lorentz width {gamma_lorentz_cm}")
     delta = np.asarray(delta_nu_cm, dtype=float)
     sigma = gamma_doppler_cm / _SQRT_2LN2
-    z = (delta + 1j * gamma_lorentz_cm) / (sigma * math.sqrt(2.0))
-    phi = wofz(z).real / (sigma * math.sqrt(2.0 * math.pi))
+    x = delta / (sigma * math.sqrt(2.0))
+    if gamma_lorentz_cm == 0.0:
+        re_w = np.exp(-x * x)
+    else:
+        re_w = faddeeva(x + 1j * gamma_lorentz_cm
+                        / (sigma * math.sqrt(2.0))).real
+    phi = re_w / (sigma * math.sqrt(2.0 * math.pi))
     return float(phi) if np.isscalar(delta_nu_cm) else phi
 
 
@@ -161,15 +214,38 @@ def absorption_coefficient(lines, nu_grid_cm, p_torr: float, t_k: float,
         raise ValueError(f"non-positive wing cutoff {wing_cutoff_cm}")
     dens = number_density(p_torr, t_k)
     alpha = np.zeros_like(nu)
-    for line in lines:
-        sel = np.abs(nu - line.nu0_cm) <= wing_cutoff_cm
-        if not sel.any():
+    lines = list(lines)
+    lo, hi = _line_windows(nu, np.array([ln.nu0_cm for ln in lines]),
+                          wing_cutoff_cm)
+    for line, a, b in zip(lines, lo, hi):
+        if a >= b:
             continue
         g_d = doppler_hwhm(line.nu0_cm, t_k, molar_mass_g)
         g_l = lorentz_hwhm(line, p_torr, t_k, x_self)
         s = line_strength(line, t_k, partition_ratio)
-        alpha[sel] += dens * s * voigt_profile(nu[sel] - line.nu0_cm, g_d, g_l)
+        alpha[a:b] += dens * s * voigt_profile(nu[a:b] - line.nu0_cm, g_d, g_l)
     return alpha
+
+
+def _line_windows(nu, centres, cutoff: float):
+    """Index bounds [lo, hi) of the grid points with |nu - centre| <= cutoff.
+
+    `nu` is increasing.  Each window is found by `searchsorted` on the
+    rounded edges centre -/+ cutoff, then moved by one point wherever
+    that rounding put an edge on the wrong side of the test itself, so
+    `nu[lo:hi]` holds exactly the points the elementwise test selects.
+    """
+    lo = np.searchsorted(nu, centres - cutoff, side="left")
+    hi = np.searchsorted(nu, centres + cutoff, side="right")
+
+    def inside(i):
+        return np.abs(nu[np.clip(i, 0, nu.size - 1)] - centres) <= cutoff
+
+    lo += (lo < nu.size) & ~inside(lo)
+    lo -= (lo > 0) & inside(lo - 1)
+    hi -= (hi > 0) & ~inside(hi - 1)
+    hi += (hi < nu.size) & inside(hi)
+    return lo, hi
 
 
 # ------------------------------------------------------------ line lists

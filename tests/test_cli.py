@@ -215,6 +215,39 @@ def test_csv_and_pgm_outputs(workdir, tmp_path):
         assert m.intensity.shape == (16, 257)
 
 
+def test_exit_code_unreachable_pump_angle(tmp_path):
+    # an isotropic crystal: [extraordinary] copies [ordinary]
+    with open(data_path("mgo_linbo3_zelmon.nlc"), encoding="utf-8") as fh:
+        text = fh.read()
+    head, ordinary = text.split("[extraordinary]")[0].split("[ordinary]")
+    nlc = tmp_path / "isotropic.nlc"
+    nlc.write_text(head + "[ordinary]" + ordinary
+                   + "[extraordinary]" + ordinary)
+    bad = tmp_path / "isotropic.cfg"
+    bad.write_text(CFG.replace("mgo_linbo3_zelmon.nlc", str(nlc)))
+    absent = str(tmp_path / "absent.nlm")
+    for cmd in (["simulate", str(bad), "-o", str(tmp_path / "x.nlm")],
+                ["retrieve", absent, absent, str(bad), "-o",
+                 str(tmp_path / "r.csv")],
+                ["pump-angle", str(bad)]):
+        out = subprocess.run([sys.executable, "-m", "nlispec.cli", *cmd],
+                             capture_output=True, text=True)
+        assert out.returncode == 2
+        assert "no pump angle" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
+def test_import_does_not_load_scipy():
+    # the runtime is numpy only: importing scipy would dominate CLI start-up
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nlispec, nlispec.cli; print(sorted(k for k in "
+         "sys.modules if k == 'scipy' or k.startswith('scipy.')))"],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_import_does_not_load_scipy_stats():
     # scipy.stats alone costs ~0.2 s and ~20 MB on every CLI call
     out = subprocess.run(

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nlispec.dispersion import SellmeierModel, UniaxialCrystalIndex
+from nlispec.dispersion import (
+    SellmeierModel,
+    UniaxialCrystalIndex,
+    uniaxial_index,
+)
+from nlispec.errors import ValidityRangeError
 from nlispec.gas import GasState
 from nlispec.interferometer import (
     InterferometerGeometry,
@@ -236,6 +241,29 @@ def test_phase_matching_angle_unreachable():
     m_e = SellmeierModel.constant(1.9, valid_um=(0.3, 30.0))
     crystal = UniaxialCrystalIndex(m_o, m_e, cut_angle_rad=math.pi / 4)
     with pytest.raises(ValueError, match="no pump angle"):
+        collinear_phase_matching_angle(crystal, 532.0, 607.11)
+
+
+def test_phase_matching_angle_matches_brentq(zelmon_crystal):
+    from scipy.optimize import brentq
+    # below ~595.4 nm the idler leaves the 0.45-5 um Sellmeier range
+    for signal_nm in np.linspace(596.0, 660.0, 33):
+        idler_nm = idler_wavelength_nm(532.0, signal_nm)
+        target = 532.0 * (
+            zelmon_crystal.n_ordinary(signal_nm * 1e-3) / signal_nm
+            + zelmon_crystal.n_ordinary(idler_nm * 1e-3) / idler_nm)
+        root = brentq(
+            lambda a: uniaxial_index(zelmon_crystal, 0.532, a) - target,
+            1e-6, math.pi / 2, xtol=1e-14)
+        angle = collinear_phase_matching_angle(zelmon_crystal, 532.0,
+                                               signal_nm)
+        assert abs(angle - root) < 1e-12
+
+
+def test_phase_matching_angle_isotropic_crystal():
+    m = SellmeierModel.constant(2.0, valid_um=(0.3, 30.0))
+    crystal = UniaxialCrystalIndex(m, m, cut_angle_rad=math.pi / 4)
+    with pytest.raises(ValidityRangeError, match="no pump angle"):
         collinear_phase_matching_angle(crystal, 532.0, 607.11)
 
 

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from nlispec.errors import LineParseError
 from nlispec.lineshape import (
     SpectralLine,
+    _line_windows,
     absorption_coefficient,
     doppler_hwhm,
+    faddeeva,
     line_strength,
     load_line_csv,
     load_par_file,
@@ -137,6 +139,19 @@ def test_voigt_symmetric_and_positive():
     assert np.all(phi > 0)
 
 
+@pytest.mark.parametrize("y", [0.0, 1e-8, 1e-3, 0.1, 1.0, 10.0, 1e2, 1e4, 1e8])
+def test_faddeeva_matches_scipy_wofz(y):
+    from scipy.special import wofz
+    rng = np.random.default_rng(6)
+    x = np.concatenate([np.linspace(-60.0, 60.0, 24001),
+                        rng.uniform(-1e6, 1e6, 2000)])
+    z = x + 1j * y
+    peak = wofz(1j * y).real
+    got, want = faddeeva(z), wofz(z)
+    assert np.abs(got.real - want.real).max() <= 1e-13 * peak
+    assert np.abs(got - want).max() <= 1e-13 * peak
+
+
 def test_voigt_rejects_bad_widths():
     with pytest.raises(ValueError):
         voigt_profile(0.0, 0.0, 1e-3)
@@ -175,6 +190,40 @@ def test_alpha_single_line_peak_matches_factors():
     assert alpha[i0] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("centre", [2349.0, 2349.0 + 1e-12, 2349.1, 2360.3])
+def test_line_windows_select_what_the_mask_selects(centre):
+    # step 0.25 and cutoff 5 are exact in binary: for centre 2349 both
+    # window edges fall exactly on grid points
+    nu = 2340.0 + 0.25 * np.arange(81)
+    for cutoff in (5.0, 0.25, 100.0, 0.1):
+        lo, hi = _line_windows(nu, np.array([centre]), cutoff)
+        want = np.flatnonzero(np.abs(nu - centre) <= cutoff)
+        assert np.array_equal(np.arange(lo[0], hi[0]), want)
+    if centre == 2349.0:
+        lo, hi = _line_windows(nu, np.array([centre]), 5.0)
+        assert (nu[lo[0]], nu[hi[0] - 1]) == (2344.0, 2354.0)
+
+
+def test_line_windows_where_rounding_moves_an_edge():
+    # a centre at grid point +- cutoff is a rounded sum, so a rounded edge
+    # centre -/+ cutoff can land on either side of that grid point; a
+    # cutoff comparable to the centre also rounds |nu - centre| itself
+    rng = np.random.default_rng(3)
+    nu = np.linspace(2211.7, 2487.3, 4001)
+    cases = []
+    for cutoff in (1.0 / 3.0, 2.9, 25.0, 5000.0):
+        k = rng.integers(0, nu.size, 200)
+        cases += [(c, cutoff) for c in np.concatenate([nu[k] + cutoff,
+                                                        nu[k] - cutoff])
+                  if c > 0]
+    centres = rng.uniform(0.01, 1000.0, 400)
+    cases += zip(centres, nu[rng.integers(0, nu.size, 400)] - centres)
+    for centre, cutoff in cases:
+        lo, hi = _line_windows(nu, np.array([centre]), cutoff)
+        want = np.flatnonzero(np.abs(nu - centre) <= cutoff)
+        assert np.array_equal(np.arange(lo[0], hi[0]), want)
+
+
 def test_alpha_additive_over_lines():
     l2 = SpectralLine(2351.0, 2e-19, 0.09, 0.14, 300.0, 0.7)
     nu = np.linspace(2340.0, 2360.0, 4001)
@@ -182,6 +231,26 @@ def test_alpha_additive_over_lines():
     a2 = absorption_coefficient([l2], nu, 20.0, 300.0, 44.01)
     both = absorption_coefficient([LINE, l2], nu, 20.0, 300.0, 44.01)
     np.testing.assert_allclose(both, a1 + a2, rtol=1e-12)
+
+
+def test_alpha_equals_masked_line_loop():
+    # reference: the same per-line sum over an elementwise window mask
+    rng = np.random.default_rng(4)
+    nu = np.linspace(2300.0, 2400.0, 2001)
+    centres = np.concatenate([rng.uniform(2270.0, 2430.0, 40),
+                              nu[rng.integers(0, nu.size, 10)] + 25.0])
+    lines = [SpectralLine(float(c), 1e-19, 0.07, 0.1, 100.0, 0.75)
+             for c in centres]
+    want = np.zeros_like(nu)
+    for ln in lines:
+        sel = np.abs(nu - ln.nu0_cm) <= 25.0
+        want[sel] += (number_density(10.5, 300.0) * line_strength(ln, 300.0)
+                      * voigt_profile(nu[sel] - ln.nu0_cm,
+                                      doppler_hwhm(ln.nu0_cm, 300.0, 44.01),
+                                      lorentz_hwhm(ln, 10.5, 300.0)))
+    got = absorption_coefficient(lines, nu, 10.5, 300.0, 44.01,
+                                 wing_cutoff_cm=25.0)
+    assert np.array_equal(got, want)
 
 
 def test_alpha_wing_cutoff_truncates():
