@@ -98,7 +98,8 @@ def _cmd_simulate(args) -> int:
     sigma_rel = cfg.noise_sigma_rel if args.noise is None else args.noise
     seed = cfg.noise_seed if args.seed is None else args.seed
     if sigma_rel > 0:
-        rng = np.random.default_rng(seed)
+        # sample and reference get independent draws from one seed
+        rng = np.random.default_rng([seed, int(args.vacuum)])
         intensity = with_gaussian_noise(
             intensity, sigma_rel * float(intensity.max()), rng)
 
@@ -135,11 +136,16 @@ def _cmd_retrieve(args) -> int:
                       on_negative=args.on_negative,
                       sample_visible_index=sample_vis)
     save_result_csv(args.output, result)
-    n = len(result.rows)
-    finite = np.isfinite(result.alpha_cm)
-    peak = float(result.alpha_cm[finite].max()) if finite.any() else math.nan
-    print(f"retrieved {n} rows to {args.output} "
-          f"(peak absorption {peak:.4g} cm^-1)")
+    # the peak is the row whose absorption stands highest above its own
+    # 2-sigma error, so a dim, noisy edge row cannot pose as the band peak
+    alpha, sigma = result.alpha_cm, result.alpha_sigma_cm
+    lower = alpha - 2.0 * np.nan_to_num(sigma, nan=0.0)
+    lower[~np.isfinite(lower)] = -np.inf
+    i = int(np.argmax(lower))
+    peak = (f"peak absorption {alpha[i]:.4g} +/- {sigma[i]:.2g} cm^-1 at "
+            f"row {result.rows[i]}" if np.isfinite(lower[i])
+            else "no finite rows")
+    print(f"retrieved {len(result.rows)} rows to {args.output} ({peak})")
     return 0
 
 

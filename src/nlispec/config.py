@@ -6,10 +6,10 @@ ConfigError naming the offending path.  Keys carry their unit in the
 name, so a config file can be read without consulting the docs.
 
 The [gas] section's `lines` (and [crystal] `coefficients`) accept
-either a filesystem path or the bare name of a file shipped with the
-package.  `axis_angle_deg = auto` solves the collinear phase-matching
-condition at the centre of the signal axis instead of using a fixed
-pump angle.
+either a path, a relative one taken from the config file's directory,
+or the bare name of a file shipped with the package.
+`axis_angle_deg = auto` solves the collinear phase-matching condition
+at the centre of the signal axis instead of using a fixed pump angle.
 """
 
 from __future__ import annotations
@@ -106,9 +106,10 @@ class RunConfig:
     noise_seed: int
 
 
-def _resolve_data(name: str, where: str) -> str:
-    if os.path.exists(name):
-        return name
+def _resolve_data(name: str, config_path, where: str) -> str:
+    local = os.path.join(os.path.dirname(str(config_path)), name)
+    if os.path.exists(local):
+        return local
     shipped = data_path(os.path.basename(name))
     if os.path.basename(name) == name and os.path.exists(shipped):
         return shipped
@@ -221,7 +222,7 @@ def load_run_config(path) -> RunConfig:
                        required=False, check=_positive)
 
     return RunConfig(
-        crystal_path=_resolve_data(crystal["coefficients"].strip(),
+        crystal_path=_resolve_data(crystal["coefficients"].strip(), path,
                                    f"{path}:[crystal].coefficients"),
         cut_angle_rad=math.radians(_get(crystal, "cut_angle_deg",
                                         f"{path}:[crystal]", check=_positive)),
@@ -235,7 +236,8 @@ def load_run_config(path) -> RunConfig:
         aperture_cm=None if aperture_mm is None else 0.1 * aperture_mm,
         signal_min_nm=lo, signal_max_nm=hi, signal_samples=samples,
         angle_axis_rad=angle_axis,
-        lines_path=_resolve_data(gas["lines"].strip(), f"{path}:[gas].lines"),
+        lines_path=_resolve_data(gas["lines"].strip(), path,
+                                 f"{path}:[gas].lines"),
         molecule_id=_get(gas, "molecule_id", f"{path}:[gas]", convert=int,
                          required=False),
         isotopologue_id=_get(gas, "isotopologue_id", f"{path}:[gas]",

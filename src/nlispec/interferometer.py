@@ -48,7 +48,8 @@ def idler_wavelength_nm(pump_nm, signal_nm):
     if np.any(pump <= 0):
         raise ValueError("non-positive pump wavelength")
     if np.any(signal <= pump):
-        raise ValueError("signal wavelength must exceed the pump wavelength")
+        raise ValidityRangeError(
+            "signal wavelength must exceed the pump wavelength")
     out = 1.0 / (1.0 / pump - 1.0 / signal)
     return float(out) if out.ndim == 0 else out
 
@@ -137,8 +138,8 @@ def _kz(k, q):
     """Longitudinal wavevector; rejects evanescent geometry."""
     k2 = k * k - q * q
     if np.any(k2 <= 0):
-        raise ValueError("detection angle too steep: transverse momentum "
-                         "exceeds a wave's total wavevector")
+        raise ValidityRangeError("detection angle too steep: transverse "
+                                 "momentum exceeds a wave's total wavevector")
     return np.sqrt(k2)
 
 

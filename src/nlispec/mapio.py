@@ -1,28 +1,35 @@
-"""Reading and writing angular-wavelength intensity maps.
+"""Reading and writing angular-wavelength intensity maps, and the text
+table codec that `.csv` maps and retrieval result tables share.
 
-Three on-disk forms, chosen by file suffix:
+Three map forms, chosen by file suffix:
 
   .nlm   native container: the ASCII magic line ``NLIMAP1``, an 8-byte
          little-endian header length, a UTF-8 JSON header holding both
          axes and free-form metadata, then the intensity as row-major
          little-endian float64.  Lossless and compact.
 
-  .csv   text form: ``# meta: <json>`` comment, a header row with the
-         angle axis, then one row per wavelength.  All floats printed
-         with %.17g, so values survive the round trip bit-exactly.
+  .csv   text table with the header row ``wavelength_nm,<angles>`` and
+         one row per wavelength: the wavelength, then the intensities.
 
   .pgm   16-bit binary PGM for eyeballing in an image viewer, with a
          ``<name>.pgm.json`` sidecar carrying axes, metadata and the
          affine intensity scale.  Quantized to 1/65535 of the range.
 
+A text table is UTF-8 lines: a magic comment (``# nlispec map 1``,
+``# nlispec retrieval 1``), ``# meta: <json>`` with sorted keys, a
+header row, then one comma-separated line per row with floats printed
+as %.17g, so values and NaNs survive bit-exactly.  Readers take the
+meta from the leading comments, skip blank and ``#`` lines, accept
+CRLF and leave the magic to the caller (hand-made maps have none).
+
 All writes are atomic (temp file in the destination directory, then
-rename), so a crash never leaves a half-written map behind.
+rename), so a crash never leaves a half-written file behind.
 """
 
 from __future__ import annotations
 
+import io
 import json
-import math
 import os
 import struct
 import tempfile
@@ -35,6 +42,7 @@ from .interferometer import MapAxes
 
 _MAGIC = b"NLIMAP1\n"
 _PGM_MAXVAL = 65535
+_CELL = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -132,62 +140,70 @@ def _load_native(path) -> IntensityMap:
     return IntensityMap(axes, data.astype(float), head.get("meta", {}))
 
 
-# ---------------------------------------------------------------- csv
+# ---------------------------------------------------------------- text tables
+
+def write_text_table(path, magic: str, meta: dict, header, table) -> None:
+    """Write a 2-D `table` below its magic, meta and header lines."""
+    buf = io.StringIO()
+    meta_line = "# meta: " + json.dumps(meta, sort_keys=True)
+    np.savetxt(buf, table, fmt=_CELL, delimiter=",", comments="",
+               header="\n".join((magic, meta_line, ",".join(header))))
+    _atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
+
+
+def read_text_table(path):
+    """(magic or None, meta, header cells, 2-D float array) of a text
+    table; every defect raises MapFormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MapFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    magic = lines[0].strip() if lines and lines[0].startswith("#") else None
+    meta = {}
+    for n, text in enumerate(lines):
+        text = text.strip()
+        if text and not text.startswith("#"):
+            break
+        body = text.lstrip("#").strip()
+        if body.startswith("meta:"):
+            try:
+                meta = json.loads(body[5:])
+            except json.JSONDecodeError as exc:
+                raise MapFormatError(
+                    f"{path}:{n + 1}: bad meta json: {exc}") from None
+    else:
+        raise MapFormatError(f"{path}: no data rows")
+    header = [cell.strip() for cell in text.split(",")]
+    rows = lines[n + 1:]
+    # np.loadtxt only warns on an empty body
+    if not any(ln.strip() and not ln.lstrip().startswith("#") for ln in rows):
+        raise MapFormatError(f"{path}: no data rows")
+    try:
+        table = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise MapFormatError(f"{path}: bad cells: {exc}") from None
+    if table.shape[1] != len(header):
+        raise MapFormatError(f"{path}: expected {len(header)} cells per row, "
+                             f"got {table.shape[1]}")
+    return magic, meta, header, table
+
 
 def _save_csv(path, m: IntensityMap):
-    lines = ["# nlispec map 1", "# meta: " + json.dumps(m.meta)]
-    angles = ",".join(f"{a:.17g}" for a in m.axes.angle_rad)
-    lines.append("wavelength_nm," + angles)
-    for lam, row in zip(m.axes.wavelength_nm, m.intensity):
-        lines.append(f"{lam:.17g}," + ",".join(f"{v:.17g}" for v in row))
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    header = ["wavelength_nm"] + [_CELL % a for a in m.axes.angle_rad]
+    table = np.column_stack((m.axes.wavelength_nm, m.intensity))
+    write_text_table(path, "# nlispec map 1", m.meta, header, table)
 
 
 def _load_csv(path) -> IntensityMap:
-    meta = {}
-    rows, lams = [], []
-    angle = None
-    with open(path, encoding="utf-8") as fh:
-        for ln, text in enumerate(fh, start=1):
-            text = text.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                body = text.lstrip("#").strip()
-                if body.startswith("meta:"):
-                    try:
-                        meta = json.loads(body[5:])
-                    except json.JSONDecodeError as exc:
-                        raise MapFormatError(
-                            f"{path}:{ln}: bad meta json: {exc}"
-                        ) from None
-                continue
-            cells = text.split(",")
-            if angle is None:
-                if cells[0] != "wavelength_nm":
-                    raise MapFormatError(
-                        f"{path}:{ln}: expected header row, got {cells[0]!r}"
-                    )
-                angle = np.array([float(c) for c in cells[1:]])
-                continue
-            try:
-                values = [float(c) for c in cells]
-            except ValueError as exc:
-                raise MapFormatError(f"{path}:{ln}: {exc}") from None
-            if len(values) != angle.size + 1:
-                raise MapFormatError(
-                    f"{path}:{ln}: expected {angle.size + 1} cells, "
-                    f"got {len(values)}"
-                )
-            lams.append(values[0])
-            rows.append(values[1:])
-    if angle is None or not rows:
-        raise MapFormatError(f"{path}: no data rows")
+    _, meta, header, table = read_text_table(path)
+    if header[0] != "wavelength_nm":
+        raise MapFormatError(f"{path}: expected header row, got {header[0]!r}")
     try:
-        axes = MapAxes(np.array(lams), angle)
+        axes = MapAxes(table[:, 0], np.array(header[1:], dtype=float))
+        return IntensityMap(axes, table[:, 1:], meta)
     except ValueError as exc:
         raise MapFormatError(f"{path}: {exc}") from None
-    return IntensityMap(axes, np.array(rows), meta)
 
 
 # ---------------------------------------------------------------- pgm

@@ -33,14 +33,15 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .errors import AxisMismatchError, NegativeAbsorptionError
+from .errors import MapFormatError, NegativeAbsorptionError
 from .interferometer import (
     InterferometerGeometry,
     _gap_phase,
     crystal_phase_mismatch,
     idler_wavelength_nm,
 )
-from .mapio import IntensityMap, require_same_axes
+from .mapio import (IntensityMap, read_text_table, require_same_axes,
+                    write_text_table)
 
 
 # ------------------------------------------------------------ inversions
@@ -170,7 +171,8 @@ def _polish(params, rows, envelope, phase, steepening):
 
     dof = rows.shape[1] - params.shape[1]
     s2 = cost / dof if dof > 0 else np.full_like(cost, math.nan)
-    cov = np.linalg.pinv(jac.transpose(0, 2, 1) @ jac)
+    # no cutoff: a barely determined direction gets a huge variance, not 0
+    cov = np.linalg.pinv(jac.transpose(0, 2, 1) @ jac, rcond=0.0)
     var = np.diagonal(cov, axis1=1, axis2=2)[:, 1:] * s2[:, None]
     return params, np.sqrt(np.maximum(var, 0.0))
 
@@ -401,62 +403,18 @@ _RESULT_COLUMNS = ("row", "wavelength_nm", "idler_wavelength_nm",
 
 
 def save_result_csv(path, result: RetrievalResult) -> None:
-    """Write a retrieval result as a self-describing CSV table."""
-    import json
-
-    from .mapio import _atomic_write_bytes
-
-    cols = [result.rows.astype(float)] + [
-        np.asarray(getattr(result, name), dtype=float)
-        for name in _RESULT_COLUMNS[1:]
-    ]
-    lines = [_RESULT_MAGIC,
-             "# meta: " + json.dumps(result.meta, sort_keys=True),
-             ",".join(_RESULT_COLUMNS)]
-    for values in zip(*cols):
-        lines.append(",".join("%.17g" % v for v in values))
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    """Write a retrieval result as a self-describing text table."""
+    table = np.column_stack([result.rows] + [
+        getattr(result, name) for name in _RESULT_COLUMNS[1:]])
+    write_text_table(path, _RESULT_MAGIC, result.meta, _RESULT_COLUMNS, table)
 
 
 def load_result_csv(path) -> RetrievalResult:
     """Read back a table written by save_result_csv."""
-    import json
-
-    from .errors import MapFormatError
-
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read().splitlines()
-    if not text or text[0].strip() != _RESULT_MAGIC:
+    magic, meta, header, table = read_text_table(path)
+    if magic != _RESULT_MAGIC:
         raise MapFormatError(f"{path}: not a retrieval result table")
-    meta = {}
-    body_start = 1
-    for i, line in enumerate(text[1:], start=1):
-        if line.startswith("# meta: "):
-            meta = json.loads(line[len("# meta: "):])
-        elif not line.startswith("#"):
-            body_start = i
-            break
-    header = tuple(text[body_start].strip().split(","))
-    if header != _RESULT_COLUMNS:
+    if tuple(header) != _RESULT_COLUMNS:
         raise MapFormatError(f"{path}: unexpected column header")
-    try:
-        table = np.array([[float(cell) for cell in line.split(",")]
-                          for line in text[body_start + 1:] if line.strip()])
-    except ValueError as exc:
-        raise MapFormatError(f"{path}: bad cell ({exc})") from None
-    if table.ndim != 2 or table.shape[1] != len(_RESULT_COLUMNS):
-        raise MapFormatError(f"{path}: malformed table body")
-    named = dict(zip(_RESULT_COLUMNS, table.T))
-    return RetrievalResult(
-        wavelength_nm=named["wavelength_nm"],
-        idler_wavelength_nm=named["idler_wavelength_nm"],
-        idler_nu_cm=named["idler_nu_cm"],
-        visibility=named["visibility"],
-        alpha_cm=named["alpha_cm"],
-        alpha_sigma_cm=named["alpha_sigma_cm"],
-        phase_shift_rad=named["phase_shift_rad"],
-        index_offset=named["index_offset"],
-        index_offset_sigma=named["index_offset_sigma"],
-        rows=named["row"].astype(int),
-        meta=meta,
-    )
+    columns = dict(zip(_RESULT_COLUMNS[1:], table[:, 1:].T))
+    return RetrievalResult(rows=table[:, 0].astype(int), meta=meta, **columns)

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+import shutil
 import subprocess
 import sys
 
@@ -8,8 +11,9 @@ from nlispec import data_path
 from nlispec.cli import main
 from nlispec.config import build_gas, build_geometry, load_run_config
 from nlispec.dispersion import gas_index
+from nlispec.errors import MapFormatError
 from nlispec.mapio import load_map
-from nlispec.retrieval import _model_pattern, load_result_csv
+from nlispec.retrieval import _model_pattern, load_result_csv, save_result_csv
 
 CFG = """\
 [crystal]
@@ -96,6 +100,42 @@ def test_retrieve_result_csv_is_lossless(workdir, tmp_path):
     np.testing.assert_array_equal(res.index_offset, again.index_offset)
     np.testing.assert_array_equal(res.rows, again.rows)
     assert res.meta == again.meta
+
+
+def test_result_table_keeps_nan_rows(workdir, tmp_path):
+    # rows 0 and 5 come back NaN in every fitted column, as a dim row does
+    res = load_result_csv(workdir / "result.csv")
+    dim = np.isin(res.rows, [0, 5])
+    holes = {name: np.where(dim, np.nan, getattr(res, name))
+             for name in ("visibility", "alpha_cm", "alpha_sigma_cm",
+                          "phase_shift_rad", "index_offset",
+                          "index_offset_sigma")}
+    save_result_csv(tmp_path / "holed.csv", dataclasses.replace(res, **holes))
+    back = load_result_csv(tmp_path / "holed.csv")
+    for name, values in holes.items():
+        np.testing.assert_array_equal(getattr(back, name), values)
+    np.testing.assert_array_equal(back.rows, res.rows)
+
+
+def test_result_table_rejects_wrong_magic(workdir, tmp_path):
+    lines = (workdir / "result.csv").read_text().splitlines()
+    for magic in ("# nlispec map 1", "# nlispec retrieval 9"):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([magic] + lines[1:]) + "\n")
+        with pytest.raises(MapFormatError, match="not a retrieval result"):
+            load_result_csv(bad)
+
+
+def test_config_data_paths_resolve_against_config_dir(tmp_path, monkeypatch,
+                                                      capsys):
+    cfg_dir = tmp_path / "relcfg"
+    cfg_dir.mkdir()
+    shutil.copy(data_path("mgo_linbo3_zelmon.nlc"), cfg_dir / "my_crystal.nlc")
+    (cfg_dir / "run.cfg").write_text(
+        CFG.replace("mgo_linbo3_zelmon.nlc", "my_crystal.nlc"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["pump-angle", "relcfg/run.cfg"]) == 0
+    assert "deg" in capsys.readouterr().out
 
 
 def test_retrieve_every_n(workdir, tmp_path):
@@ -329,3 +369,50 @@ def test_retrieve_full_demo_extrema_engine(demo_dir, tmp_path):
     finite = np.isfinite(ext.alpha_cm)
     assert finite.sum() >= 480
     assert np.abs(ext.alpha_cm[finite] - model.alpha_cm[finite]).max() <= 5e-3
+
+
+def test_demo_sample_and_reference_noise_independent(demo_dir):
+    noise = [load_map(demo_dir / f"{kind}3e-2.nlm").intensity
+             - load_map(demo_dir / f"{kind}0.nlm").intensity
+             for kind in ("s", "r")]
+    assert abs(np.corrcoef(noise[0].ravel(), noise[1].ravel())[0, 1]) < 0.01
+
+
+def test_retrieve_summary_reports_band_peak(demo_dir, tmp_path, capsys):
+    # at 3e-2 noise dim edge rows fit to large alpha with large sigma
+    out = tmp_path / "model.csv"
+    assert main(["retrieve", str(demo_dir / "s3e-2.nlm"),
+                 str(demo_dir / "r3e-2.nlm"), DEMO_CFG, "-o", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert summary.isascii()  # prints on any console encoding
+    found = re.search(r"peak absorption (\S+) \+/- (\S+) cm\^-1 at row (\d+)",
+                      summary)
+    peak, sigma, row = float(found[1]), float(found[2]), int(found[3])
+    res = load_result_csv(out)
+    assert res.rows[row] == row
+    assert 2294.0 <= res.idler_nu_cm[row] <= 2404.0
+    truth = build_gas(load_run_config(DEMO_CFG)).idler_absorption_at(
+        res.idler_wavelength_nm[row])
+    assert abs(peak - truth) <= 3.0 * sigma
+
+
+@pytest.mark.parametrize("edits", [
+    (("aperture_mm = 2.0\n", ""),
+     ("pixel_pitch_um = 13.0", "pixel_pitch_um = 3000.0")),
+    (("min_nm = 601.5", "min_nm = 520"),
+     ("axis_angle_deg = auto", "axis_angle_deg = 47.0")),
+], ids=["evanescent_angle", "signal_below_pump"])
+def test_exit_code_physics_out_of_range(tmp_path, edits):
+    with open(DEMO_CFG, encoding="utf-8") as fh:
+        text = fh.read()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    out = subprocess.run([sys.executable, "-m", "nlispec.cli", "simulate",
+                          str(bad), "-o", str(tmp_path / "x.nlm")],
+                         capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    assert "config error" in out.stderr
+    assert "Traceback" not in out.stderr

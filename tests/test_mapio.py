@@ -40,6 +40,34 @@ def test_csv_round_trip_bit_exact(tmp_path, sample_map):
     assert back.meta == sample_map.meta
 
 
+def test_csv_layout_is_pinned(tmp_path):
+    axes = MapAxes(np.array([600.0, 601.5]), np.array([-1e-3, 0.0, 1 / 3]))
+    m = IntensityMap(axes, np.array([[0.25, 1e-17, 0.1], [1.0, 2.0, 3.5]]),
+                     meta={"seed": 3, "kind": "sample"})
+    save_map(tmp_path / "m.csv", m)
+    assert (tmp_path / "m.csv").read_bytes() == (
+        b"# nlispec map 1\n"
+        b'# meta: {"kind": "sample", "seed": 3}\n'
+        b"wavelength_nm,-0.001,0,0.33333333333333331\n"
+        b"600,0.25,1.0000000000000001e-17,0.10000000000000001\n"
+        b"601.5,1,2,3.5\n")
+
+
+def test_csv_hand_made_map_loads(tmp_path):
+    # no magic line, CRLF line ends, spaces after commas, and blank and
+    # comment lines between the data rows
+    p = tmp_path / "hand.csv"
+    p.write_bytes(b'# meta: {"kind": "sample"}\r\n'
+                  b"wavelength_nm, -0.001, 0.001\r\n"
+                  b"600.0,1,2\r\n\r\n# dark frame subtracted\r\n"
+                  b"601.0, 3, 4\r\n")
+    m = load_map(p)
+    assert m.meta == {"kind": "sample"}
+    np.testing.assert_array_equal(m.axes.wavelength_nm, [600.0, 601.0])
+    np.testing.assert_array_equal(m.axes.angle_rad, [-1e-3, 1e-3])
+    np.testing.assert_array_equal(m.intensity, [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_pgm_round_trip_within_quantization(tmp_path, sample_map):
     p = tmp_path / "m.pgm"
     save_map(p, sample_map)
@@ -115,6 +143,11 @@ def test_corrupt_csv_variants(tmp_path, sample_map):
     empty.write_text("# meta: {}\n")
     with pytest.raises(MapFormatError, match="no data"):
         load_map(empty)
+
+    header_only = tmp_path / "d.csv"
+    header_only.write_text("\n".join(lines[:3]) + "\n\n# no rows\n")
+    with pytest.raises(MapFormatError, match="no data"):
+        load_map(header_only)
 
 
 def test_pgm_without_sidecar(tmp_path, sample_map):
