@@ -72,7 +72,7 @@ from .retrieval import (
     RetrievalResult,
     RowEstimate,
     absorption_from_visibility,
-    fit_row_extrema,
+    fit_rows_extrema,
     fit_rows_model,
     index_offset_from_phase,
     load_result_csv,
@@ -112,7 +112,7 @@ __all__ = [
     "data_path",
     "detector_angle_axis",
     "doppler_hwhm",
-    "fit_row_extrema",
+    "fit_rows_extrema",
     "fit_rows_model",
     "gap_fringe_amplitude",
     "gap_phase",

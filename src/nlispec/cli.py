@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import build_axes, build_gas, build_geometry, build_vacuum, \
-    load_run_config
+from .config import _nonnegative, build_axes, build_gas, build_geometry, \
+    build_vacuum, load_run_config
 from .dispersion import gas_index
 from .errors import (
     AxisMismatchError,
@@ -95,6 +95,9 @@ def _cmd_simulate(args) -> int:
     gas = build_vacuum(cfg) if args.vacuum else build_gas(cfg)
     intensity = simulate_map(geom, gas, axes)
 
+    for option, value in (("--noise", args.noise), ("--seed", args.seed)):
+        if value is not None:
+            _nonnegative(value, option)
     sigma_rel = cfg.noise_sigma_rel if args.noise is None else args.noise
     seed = cfg.noise_seed if args.seed is None else args.seed
     if sigma_rel > 0:

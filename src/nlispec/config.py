@@ -213,11 +213,9 @@ def load_run_config(path) -> RunConfig:
 
     noise = cp["noise"] if cp.has_section("noise") else {}
     sigma_rel = _get(noise, "sigma_rel", f"{path}:[noise]", default=0.0,
-                     required=False) if noise else 0.0
+                     required=False, check=_nonnegative)
     seed = _get(noise, "seed", f"{path}:[noise]", convert=int, default=0,
-                required=False) if noise else 0
-    if sigma_rel < 0:
-        raise ConfigError("negative noise level", key=f"{path}:[noise].sigma_rel")
+                required=False, check=_nonnegative)
     aperture_mm = _get(geometry, "aperture_mm", f"{path}:[geometry]",
                        required=False, check=_positive)
 

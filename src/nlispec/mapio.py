@@ -103,6 +103,14 @@ def _axes_from_header(head: dict, source) -> MapAxes:
     return axes
 
 
+def _checked_map(source, axes, data, meta) -> IntensityMap:
+    """IntensityMap of loaded parts, its checks failing as MapFormatError."""
+    try:
+        return IntensityMap(axes, data, meta)
+    except ValueError as exc:
+        raise MapFormatError(f"{source}: {exc}") from None
+
+
 # ---------------------------------------------------------------- native
 
 def _save_native(path, m: IntensityMap):
@@ -137,7 +145,7 @@ def _load_native(path) -> IntensityMap:
             f"{path}: expected {expected} data bytes, found {len(body)}"
         )
     data = np.frombuffer(body, dtype="<f8").reshape(axes.shape)
-    return IntensityMap(axes, data.astype(float), head.get("meta", {}))
+    return _checked_map(path, axes, data.astype(float), head.get("meta", {}))
 
 
 # ---------------------------------------------------------------- text tables
@@ -182,11 +190,27 @@ def read_text_table(path):
     try:
         table = np.loadtxt(rows, delimiter=",", ndmin=2)
     except ValueError as exc:
-        raise MapFormatError(f"{path}: bad cells: {exc}") from None
+        raise _cell_error(path, rows, n + 2, len(header), exc) from None
     if table.shape[1] != len(header):
         raise MapFormatError(f"{path}: expected {len(header)} cells per row, "
                              f"got {table.shape[1]}")
     return magic, meta, header, table
+
+
+def _cell_error(path, lines, first, width, exc) -> MapFormatError:
+    """The error for the first of `lines` (file line `first` on) that is
+    not `width` numbers; numpy's own message counts data rows only."""
+    for number, line in enumerate(lines, first):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        try:
+            cells = np.loadtxt([line], delimiter=",", ndmin=2).shape[1]
+        except ValueError:
+            cells = None
+        if cells != width:
+            return MapFormatError(
+                f"{path}:{number}: bad cells: expected {width} numbers")
+    return MapFormatError(f"{path}: bad cells: {exc}")
 
 
 def _save_csv(path, m: IntensityMap):
@@ -233,9 +257,17 @@ def _load_pgm(path) -> IntensityMap:
             side = json.load(fh)
     except FileNotFoundError:
         raise MapFormatError(f"{path}: missing sidecar {sidecar}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise MapFormatError(f"{sidecar}: {exc}") from None
     axes = _axes_from_header(side, sidecar)
+    try:
+        offset = float(side["intensity_offset"])
+        span = float(side["intensity_span"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MapFormatError(f"{sidecar}: bad intensity scale: {exc!r}") \
+            from None
+    if not np.all(np.isfinite((offset, span))):
+        raise MapFormatError(f"{sidecar}: intensity scale is not finite")
     with open(path, "rb") as fh:
         blob = fh.read()
     parts = blob.split(b"\n", 3)
@@ -252,9 +284,8 @@ def _load_pgm(path) -> IntensityMap:
     if len(body) != rows * cols * 2:
         raise MapFormatError(f"{path}: truncated pixel data")
     levels = np.frombuffer(body, dtype=">u2").reshape(rows, cols)
-    data = (side["intensity_offset"]
-            + levels / maxval * side["intensity_span"])
-    return IntensityMap(axes, data, side.get("meta", {}))
+    data = offset + levels / maxval * span
+    return _checked_map(path, axes, data, side.get("meta", {}))
 
 
 # ---------------------------------------------------------------- front door

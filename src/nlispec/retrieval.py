@@ -16,11 +16,14 @@ shift off axis (factor 1/sqrt(1 - (q / k_i)^2)).  It fits blocks of
 rows at once: a linear projection onto {E, E cos phi, E sin phi} gives
 the start, and damped Gauss-Newton steps on the analytic Jacobian
 polish it.  It is exact on noiseless model data.  The extrema engine is
-model-free: it flattens the row with a low-order polynomial envelope
-and reads the contrast from quadratically refined local extrema.  It
+model-free: it flattens every row with a low-order polynomial envelope
+(one least-squares solve for all rows) and reads the contrast from
+quadratically refined local extrema, found for all rows at once.  It
 retrieves absorption only (no phase) and serves as an independent
-cross-check on the model route.  Either engine returns NaN for a row it
-cannot read (a dim row, or too few resolved fringes) and fits the rest.
+cross-check on the model route.  Both engines take the rows together
+and return NaN in every field of a row they cannot read (a dim row, or
+too few resolved fringes) while reading the rest; neither raises for a
+bad row.
 
 Because both rows of a pair are fitted identically, estimator bias is
 common mode: it divides out of V and subtracts out of dphi.
@@ -29,7 +32,7 @@ common mode: it divides out of V and subtracts out of dphi.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,14 +90,14 @@ def index_offset_from_phase(phase_shift_rad, idler_wavelength_nm_,
 
 @dataclass(frozen=True)
 class RowEstimate:
-    """Fringe parameters: per-row arrays from `fit_rows_model`, scalars
-    from `fit_row_extrema`."""
+    """Per-row fringe parameters from `fit_rows_model` or
+    `fit_rows_extrema`; an unreadable row is NaN in every field."""
 
-    amplitude: np.ndarray | float
-    contrast: np.ndarray | float      # fringe amplitude tau of the row
-    phase_rad: np.ndarray | float     # fringe phase against the model pattern
-    sigma_contrast: np.ndarray | float
-    sigma_phase: np.ndarray | float
+    amplitude: np.ndarray
+    contrast: np.ndarray      # fringe amplitude tau of the row
+    phase_rad: np.ndarray     # fringe phase against the model pattern
+    sigma_contrast: np.ndarray
+    sigma_phase: np.ndarray
 
 
 # Polish stopping rule, per row: a step within _XTOL (relative to the
@@ -107,6 +110,10 @@ _MAX_TRIALS = 200
 # Rows fitted together.  Bounds the (rows x angles x 3) Jacobian and the
 # per-block copies, which for a whole map would outgrow the maps.
 _BLOCK_ROWS = 64
+# Extrema engine: degree of the polynomial envelope, and the fewest full
+# fringes a row must resolve for the envelope fit to leave them intact.
+_ENVELOPE_DEGREE = 4
+_MIN_FRINGES = 8
 
 
 def _project(rows, envelope, phase):
@@ -208,70 +215,74 @@ def fit_rows_model(rows, envelope, phase, steepening=None, *,
     return RowEstimate(*params.T, *sigma.T)
 
 
+def _extrema(y):
+    """(row, position, height, is_maximum) of the quadratically refined
+    interior extrema of every row of `y`, in row and then position
+    order.  A plateau counts once, at its first sample."""
+    rising = np.diff(y, axis=1)
+    left, right = rising[:, :-1], rising[:, 1:]
+    is_max = (left > 0) & (right <= 0)
+    row, i = np.nonzero(is_max | ((left < 0) & (right >= 0)))
+    prev, mid, nxt = y[row, i], y[row, i + 1], y[row, i + 2]
+    denom = prev - 2.0 * mid + nxt
+    shift = np.divide(0.5 * (prev - nxt), denom, out=np.zeros_like(denom),
+                      where=denom != 0)
+    return (row, i + 1 + shift, mid - 0.25 * (prev - nxt) * shift,
+            is_max[row, i])
+
+
 def refine_extrema(values):
-    """Quadratically refined interior extrema of a sampled curve.
+    """(positions, heights, is_maximum) of the quadratically refined
+    interior extrema of a sampled curve, in fractional sample indices."""
+    _, pos, height, is_max = _extrema(np.asarray(values, dtype=float)[None])
+    return pos, height, is_max
 
-    Returns (positions, heights, is_maximum); positions are fractional
-    sample indices.  Plateaus are skipped rather than double counted.
+
+def _group_median(values, groups, n_groups):
+    """Per-label medians of `values` (NaN if empty), and label counts."""
+    ordered = values[np.lexsort((values, groups))]
+    count = np.bincount(groups, minlength=n_groups)
+    has = count > 0
+    lower = (np.cumsum(count) - count + (count - 1) // 2)[has]
+    median = np.full(n_groups, math.nan)
+    median[has] = 0.5 * (ordered[lower] + ordered[lower + 1 - count[has] % 2])
+    return median, count
+
+
+def fit_rows_extrema(rows) -> RowEstimate:
+    """Model-free contrast of many rows (no phase information).
+
+    `rows` is an (n_rows, n_angle) array or a single row.  Each row is
+    divided by a fitted polynomial envelope; its contrast is the median
+    local contrast of adjacent refined extrema.  A row with a
+    non-positive envelope, fewer than _MIN_FRINGES full fringes or no
+    usable pair is NaN in every field; the other rows are read as usual.
     """
-    y = np.asarray(values, dtype=float)
-    pos, height, kind = [], [], []
-    for i in range(1, y.size - 1):
-        if y[i] > y[i - 1] and y[i] >= y[i + 1]:
-            is_max = True
-        elif y[i] < y[i - 1] and y[i] <= y[i + 1]:
-            is_max = False
-        else:
-            continue
-        denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-        shift = 0.0 if denom == 0 else 0.5 * (y[i - 1] - y[i + 1]) / denom
-        pos.append(i + shift)
-        height.append(y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift)
-        kind.append(is_max)
-    return np.array(pos), np.array(height), np.array(kind, dtype=bool)
-
-
-def fit_row_extrema(row, *, envelope_degree: int = 4,
-                    min_fringes: int = 8) -> RowEstimate:
-    """Model-free contrast of one row (no phase information).
-
-    Divides out a fitted polynomial envelope, then averages the local
-    contrast of adjacent refined extrema.  Needs at least `min_fringes`
-    full fringes to separate envelope from fringe structure.
-    """
-    row = np.asarray(row, dtype=float)
-    x = np.linspace(-1.0, 1.0, row.size)
-    env = np.polynomial.polynomial.polyval(
-        x, np.polynomial.polynomial.polyfit(x, row, envelope_degree)
-    )
-    if np.any(env <= 0):
-        raise ValueError("polynomial envelope is not positive; row too dim")
-    flat = row / env
-    pos, height, is_max = refine_extrema(flat)
-    n_fringes = min(int(is_max.sum()), int((~is_max).sum()))
-    if n_fringes < min_fringes:
-        raise ValueError(
-            f"only {n_fringes} fringes resolved, need >= {min_fringes}"
-        )
-    contrasts = []
-    for j in range(len(pos) - 1):
-        if is_max[j] == is_max[j + 1]:
-            continue  # noise-induced repeat, skip the pair
-        hi, lo = ((height[j], height[j + 1]) if is_max[j]
-                  else (height[j + 1], height[j]))
-        if hi + lo > 0:
-            contrasts.append((hi - lo) / (hi + lo))
-    contrasts = np.asarray(contrasts)
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    n_rows, poly = rows.shape[0], np.polynomial.polynomial
+    x = np.linspace(-1.0, 1.0, rows.shape[1])
+    env = poly.polyval(x, poly.polyfit(x, rows.T, _ENVELOPE_DEGREE))
+    lit = np.all(env > 0, axis=1)
+    row, _, height, is_max = _extrema(rows / np.where(lit[:, None], env, 1.0))
+    fringes = np.minimum(np.bincount(row[is_max], minlength=n_rows),
+                         np.bincount(row[~is_max], minlength=n_rows))
+    # adjacent max/min pairs of a row; a repeated kind (a plateau) is skipped
+    pair = np.flatnonzero((row[1:] == row[:-1]) & (is_max[1:] != is_max[:-1]))
+    hi = np.where(is_max[pair], height[pair], height[pair + 1])
+    lo = np.where(is_max[pair], height[pair + 1], height[pair])
+    keep = hi + lo > 0
+    hi, lo, pair_row = hi[keep], lo[keep], row[pair[keep]]
+    contrasts = (hi - lo) / (hi + lo)
     # median, not mean: pairs straddling the stationary-phase centre of
     # the pattern produce wild outliers
-    centre = float(np.median(contrasts))
-    if contrasts.size > 1:
-        mad = float(np.median(np.abs(contrasts - centre)))
-        sigma = 1.4826 * mad / math.sqrt(contrasts.size)
-    else:
-        sigma = math.nan
-    return RowEstimate(float(env.mean()), centre, math.nan,
-                       float(sigma), math.nan)
+    centre, count = _group_median(contrasts, pair_row, n_rows)
+    mad, _ = _group_median(np.abs(contrasts - centre[pair_row]), pair_row,
+                           n_rows)
+    sigma = np.where(count > 1, 1.4826 * mad / np.sqrt(count), math.nan)
+    nan = np.full(n_rows, math.nan)
+    fields = np.stack((env.mean(axis=1), centre, nan, sigma, nan))
+    fields[:, ~lit | (fringes < _MIN_FRINGES) | (count == 0)] = math.nan
+    return RowEstimate(*fields)
 
 
 # ------------------------------------------------------------ map retrieval
@@ -309,17 +320,6 @@ def _model_pattern(geom: InterferometerGeometry, lambda_s_nm, theta_rad,
     q_over_ki = np.sin(theta_rad)[None, :] * (lam_i / lambda_s_nm)[:, None]
     steepening = 1.0 / np.sqrt(1.0 - q_over_ki**2)
     return delta + delta_m, envelope, steepening
-
-
-def _fit_rows_extrema(rows) -> RowEstimate:
-    """`fit_row_extrema` on each row; a row it cannot read is NaN."""
-    fields = np.full((5, len(rows)), math.nan)
-    for i, row in enumerate(rows):
-        try:
-            fields[:, i] = astuple(fit_row_extrema(row))
-        except ValueError:
-            pass
-    return RowEstimate(*fields)
 
 
 def retrieve(sample: IntensityMap, reference: IntensityMap,
@@ -365,12 +365,11 @@ def retrieve(sample: IntensityMap, reference: IntensityMap,
                                steepening, polish=polish)
         est_r = fit_rows_model(reference.intensity[row_idx], envelope,
                                phase_r, steepening, polish=polish)
-        dphi = est_s.phase_rad - est_r.phase_rad
-        dphi_sigma = np.hypot(est_s.sigma_phase, est_r.sigma_phase)
     else:
-        est_s = _fit_rows_extrema(sample.intensity[row_idx])
-        est_r = _fit_rows_extrema(reference.intensity[row_idx])
-        dphi = dphi_sigma = np.full(row_idx.size, math.nan)
+        est_s = fit_rows_extrema(sample.intensity[row_idx])
+        est_r = fit_rows_extrema(reference.intensity[row_idx])
+    dphi = est_s.phase_rad - est_r.phase_rad
+    dphi_sigma = np.hypot(est_s.sigma_phase, est_r.sigma_phase)
     vis = est_s.contrast / est_r.contrast
     vis_sigma = vis * np.hypot(est_s.sigma_contrast / est_s.contrast,
                                est_r.sigma_contrast / est_r.contrast)

@@ -150,6 +150,71 @@ def test_corrupt_csv_variants(tmp_path, sample_map):
         load_map(header_only)
 
 
+def _not_a_number(lines):
+    lines[5] = lines[5].replace(lines[5].split(",")[2], "not-a-number", 1)
+
+
+def _short_row(lines):
+    lines[5] = ",".join(lines[5].split(",")[:-1])
+
+
+def _blank_and_comment_first(lines):
+    _not_a_number(lines)
+    lines[3:3] = ["", "# a comment"]  # they count as file lines
+
+
+@pytest.mark.parametrize("edit, line", [
+    (_not_a_number, 6), (_short_row, 6), (_blank_and_comment_first, 8),
+], ids=["not_a_number", "short_row", "after_blank_and_comment"])
+def test_csv_bad_cell_names_the_file_line(tmp_path, sample_map, edit, line):
+    p = tmp_path / "m.csv"
+    save_map(p, sample_map)
+    lines = p.read_text().splitlines()
+    edit(lines)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MapFormatError, match="cells") as err:
+        load_map(p)
+    assert f"m.csv:{line}:" in str(err.value)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda side: side.pop("intensity_offset"),
+    lambda side: side.pop("intensity_span"),
+    lambda side: side.update(intensity_offset="low"),
+    lambda side: side.update(intensity_span=[1.0, 2.0]),
+    lambda side: side.update(intensity_span=None),
+    lambda side: side.update(intensity_span=math.inf),
+], ids=["no_offset", "no_span", "text_offset", "list_span", "null_span",
+        "inf_span"])
+def test_pgm_sidecar_scale_defects(tmp_path, sample_map, edit):
+    p = tmp_path / "m.pgm"
+    save_map(p, sample_map)
+    side = json.loads((tmp_path / "m.pgm.json").read_text())
+    edit(side)
+    (tmp_path / "m.pgm.json").write_text(json.dumps(side))
+    with pytest.raises(MapFormatError, match="intensity"):
+        load_map(p)
+
+
+def test_native_non_finite_intensity(tmp_path, sample_map):
+    p = tmp_path / "m.nlm"
+    save_map(p, sample_map)
+    blob = bytearray(p.read_bytes())
+    blob[-8:] = np.array([math.nan], dtype="<f8").tobytes()
+    p.write_bytes(bytes(blob))
+    with pytest.raises(MapFormatError, match="finite"):
+        load_map(p)
+
+
+def test_pgm_sidecar_not_utf8(tmp_path, sample_map):
+    p = tmp_path / "m.pgm"
+    save_map(p, sample_map)
+    side = tmp_path / "m.pgm.json"
+    side.write_bytes(side.read_bytes().replace(b"meta", b"m\xffta"))
+    with pytest.raises(MapFormatError, match="m.pgm.json"):
+        load_map(p)
+
+
 def test_pgm_without_sidecar(tmp_path, sample_map):
     p = tmp_path / "m.pgm"
     save_map(p, sample_map)

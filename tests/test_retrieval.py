@@ -9,7 +9,7 @@ from nlispec.interferometer import MapAxes, simulate_map, with_gaussian_noise
 from nlispec.mapio import IntensityMap
 from nlispec.retrieval import (
     absorption_from_visibility,
-    fit_row_extrema,
+    fit_rows_extrema,
     fit_rows_model,
     index_offset_from_phase,
     refine_extrema,
@@ -127,17 +127,81 @@ def test_refine_extrema_quadratic_interpolation():
 def test_fit_row_extrema_reads_contrast():
     theta = np.linspace(-1.0, 1.0, 2001)
     row = 2.0 * (1.0 + 0.55 * np.cos(60.0 * theta))  # flat envelope
-    est = fit_row_extrema(row)
+    est = fit_rows_extrema(row)
     # the polynomial envelope leaks ~1e-3 of the fringe term; that is
     # the honest accuracy floor of the model-free route
-    assert est.contrast == pytest.approx(0.55, rel=2e-3)
+    assert est.contrast[0] == pytest.approx(0.55, rel=2e-3)
 
 
 def test_fit_row_extrema_needs_enough_fringes():
     theta = np.linspace(-1.0, 1.0, 401)
-    row = 1.0 + 0.5 * np.cos(6.0 * theta)  # ~2 fringes
-    with pytest.raises(ValueError, match="fringes"):
-        fit_row_extrema(row)
+    rows = np.stack((1.0 + 0.5 * np.cos(6.0 * theta),    # ~2 fringes
+                     1.0 + 0.5 * np.cos(60.0 * theta)))  # ~19 fringes
+    est = fit_rows_extrema(rows)
+    for name in ("amplitude", "contrast", "phase_rad", "sigma_contrast",
+                 "sigma_phase"):
+        assert np.isnan(getattr(est, name)[0]), name
+    assert est.contrast[1] == pytest.approx(0.5, rel=2e-2)
+    assert np.isfinite(est.sigma_contrast[1])
+
+
+def _extrema_oracle(row):
+    """Contrast and its MAD sigma of one row, step by step; None when
+    the row is unreadable."""
+    x = np.linspace(-1.0, 1.0, row.size)
+    env = np.polynomial.polynomial.polyval(
+        x, np.polynomial.polynomial.polyfit(x, row, 4))
+    if np.any(env <= 0):
+        return None
+    flat = row / env
+    ext = []  # (height, is_max) per refined interior extremum
+    for i in range(1, row.size - 1):
+        a, b, c = flat[i - 1], flat[i], flat[i + 1]
+        if (b > a and b >= c) or (b < a and b <= c):
+            d = a - 2.0 * b + c
+            shift = 0.0 if d == 0 else 0.5 * (a - c) / d
+            ext.append((b - 0.25 * (a - c) * shift, b > a))
+    n_max = sum(kind for _, kind in ext)
+    if min(n_max, len(ext) - n_max) < 8:
+        return None
+    contrasts = []
+    for (h0, max0), (h1, max1) in zip(ext, ext[1:]):
+        hi, lo = (h0, h1) if max0 else (h1, h0)
+        if max0 != max1 and hi + lo > 0:
+            contrasts.append((hi - lo) / (hi + lo))
+    centre = np.median(contrasts)
+    mad = np.median(np.abs(np.array(contrasts) - centre))
+    return centre, 1.4826 * mad / math.sqrt(len(contrasts))
+
+
+def test_fit_rows_extrema_matches_per_row_oracle():
+    rng = np.random.default_rng(11)
+    theta = np.linspace(-1.0, 1.0, 640)
+    envelope = np.sinc(0.8 * theta) ** 2
+    rows = [envelope * (1.0 + tau * np.cos(k * theta + p))
+            for tau, k, p in ((0.6, 70.0, 0.3), (0.2, 95.0, 1.1),
+                              (0.9, 55.0, -0.7))]
+    rows.append(rows[0] + 0.02 * rng.standard_normal(theta.size))
+    # runs of exact zeros on the slopes: plateaus that repeat a kind
+    swing = 0.5 + np.cos(70.0 * theta)
+    rows.append(np.where(np.abs(swing) < 0.3, 0.0, swing))
+    # fringes swing below zero, so some pairs fail the hi + lo > 0 test
+    rows.append(0.05 + 0.1 * np.cos(70.0 * theta)
+                + 0.02 * rng.standard_normal(theta.size))
+    rows.append(1e-3 * rng.standard_normal(theta.size))       # dark
+    rows.append(envelope * (1.0 + 0.5 * np.cos(6.0 * theta)))  # 2 fringes
+    rows = np.array(rows)
+    est = fit_rows_extrema(rows)
+    expect = [_extrema_oracle(row) for row in rows]
+    np.testing.assert_array_equal(np.isnan(est.contrast),
+                                  [e is None for e in expect])
+    assert [e is None for e in expect] == [False] * 6 + [True, True]
+    for i, e in enumerate(expect):
+        if e is not None:
+            assert est.contrast[i] == pytest.approx(e[0], rel=1e-12)
+            assert est.sigma_contrast[i] == pytest.approx(e[1], rel=1e-12)
+    assert np.all(np.isnan(est.phase_rad))
+    assert np.all(np.isnan(est.sigma_phase))
 
 
 # ------------------------------------------------------------ full retrieval
