@@ -189,9 +189,17 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # extreme config values can overflow numpy on the way to a result
+        # that the builders then reject as non-finite (exit 2)
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except (ConfigError, ValidityRangeError) as exc:
         print(f"nlispec: config error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # a value in range on its own whose arithmetic under- or overflows
+        print(f"nlispec: config error: value out of numeric range: {exc}",
+              file=sys.stderr)
         return 2
     except (AxisMismatchError, NegativeAbsorptionError) as exc:
         print(f"nlispec: inconsistent inputs: {exc}", file=sys.stderr)

@@ -135,13 +135,37 @@ def _get(section, key, where, convert=float, default=None, required=True,
 
 
 def _positive(value, where):
-    if not value > 0:
-        raise ConfigError(f"must be positive, got {value}", key=where)
+    if not 0 < value < math.inf:
+        raise ConfigError(f"must be positive and finite, got {value}",
+                          key=where)
 
 
 def _nonnegative(value, where):
-    if not value >= 0:
-        raise ConfigError(f"must not be negative, got {value}", key=where)
+    if not 0 <= value < math.inf:
+        raise ConfigError(f"must not be negative or infinite, got {value}",
+                          key=where)
+
+
+def _above_one(value, where):
+    if not 1 < value < math.inf:
+        raise ConfigError(f"must exceed 1 and be finite, got {value}",
+                          key=where)
+
+
+def _axis_angle(value, where):
+    if not 0 < value <= math.pi / 2:
+        raise ConfigError(
+            f"must lie in (0, 90] degrees, got {math.degrees(value)}",
+            key=where)
+
+
+# converters for `_get`, so that range checks see the unit the model uses
+def _radians(raw: str) -> float:
+    return math.radians(float(raw))
+
+
+def _cm_from_mm(raw: str) -> float:
+    return 0.1 * float(raw)
 
 
 def _fraction(value, where):
@@ -184,15 +208,14 @@ def load_run_config(path) -> RunConfig:
     if angle_raw == "auto":
         pump_angle = None
     else:
-        pump_angle = math.radians(
-            _get(pump, "axis_angle_deg", f"{path}:[pump]")
-        )
+        pump_angle = _get(pump, "axis_angle_deg", f"{path}:[pump]",
+                          convert=_radians, check=_axis_angle)
 
     angle_axis = _angle_axis(cp, path)
 
     lo = _get(signal, "min_nm", f"{path}:[signal_axis]", check=_positive)
     hi = _get(signal, "max_nm", f"{path}:[signal_axis]", check=_positive)
-    if hi <= lo:
+    if not hi > lo:
         raise ConfigError("max_nm must exceed min_nm",
                           key=f"{path}:[signal_axis]")
     samples = _get(signal, "samples", f"{path}:[signal_axis]", convert=int)
@@ -200,15 +223,16 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError("need at least 2 samples",
                           key=f"{path}:[signal_axis].samples")
 
-    n0 = _get(gas, "visible_n0", f"{path}:[gas]", required=False)
+    n0 = _get(gas, "visible_n0", f"{path}:[gas]", required=False,
+              check=_above_one)
     visible = None
     if n0 is not None:
         visible = GasIndexModel(
             n0=n0,
             p0_torr=_get(gas, "visible_p0_torr", f"{path}:[gas]",
-                         default=760.0, required=False),
+                         default=760.0, required=False, check=_positive),
             t0_k=_get(gas, "visible_t0_k", f"{path}:[gas]",
-                      default=273.15, required=False),
+                      default=273.15, required=False, check=_positive),
         )
 
     noise = cp["noise"] if cp.has_section("noise") else {}
@@ -216,22 +240,23 @@ def load_run_config(path) -> RunConfig:
                      required=False, check=_nonnegative)
     seed = _get(noise, "seed", f"{path}:[noise]", convert=int, default=0,
                 required=False, check=_nonnegative)
-    aperture_mm = _get(geometry, "aperture_mm", f"{path}:[geometry]",
-                       required=False, check=_positive)
 
     return RunConfig(
         crystal_path=_resolve_data(crystal["coefficients"].strip(), path,
                                    f"{path}:[crystal].coefficients"),
-        cut_angle_rad=math.radians(_get(crystal, "cut_angle_deg",
-                                        f"{path}:[crystal]", check=_positive)),
+        cut_angle_rad=_get(crystal, "cut_angle_deg", f"{path}:[crystal]",
+                           convert=_radians, check=_axis_angle),
         pump_wavelength_nm=_get(pump, "wavelength_nm", f"{path}:[pump]",
                                 check=_positive),
         pump_axis_angle_rad=pump_angle,
-        crystal_length_cm=0.1 * _get(geometry, "crystal_length_mm",
-                                     f"{path}:[geometry]", check=_positive),
-        gap_length_cm=0.1 * _get(geometry, "gap_length_mm",
-                                 f"{path}:[geometry]", check=_positive),
-        aperture_cm=None if aperture_mm is None else 0.1 * aperture_mm,
+        crystal_length_cm=_get(geometry, "crystal_length_mm",
+                               f"{path}:[geometry]", convert=_cm_from_mm,
+                               check=_positive),
+        gap_length_cm=_get(geometry, "gap_length_mm", f"{path}:[geometry]",
+                           convert=_cm_from_mm, check=_positive),
+        aperture_cm=_get(geometry, "aperture_mm", f"{path}:[geometry]",
+                         convert=_cm_from_mm, required=False,
+                         check=_positive),
         signal_min_nm=lo, signal_max_nm=hi, signal_samples=samples,
         angle_axis_rad=angle_axis,
         lines_path=_resolve_data(gas["lines"].strip(), path,
@@ -251,7 +276,7 @@ def load_run_config(path) -> RunConfig:
         wing_cutoff_cm=_get(gas, "wing_cutoff_cm", f"{path}:[gas]",
                             default=25.0, required=False, check=_positive),
         partition_ratio=_get(gas, "partition_ratio", f"{path}:[gas]",
-                             default=1.0, required=False),
+                             default=1.0, required=False, check=_positive),
         visible=visible,
         grid_step_cm=_get(gas, "grid_step_cm", f"{path}:[gas]",
                           required=False, check=_positive),
@@ -270,7 +295,7 @@ def _angle_axis(cp, path) -> np.ndarray:
     where = f"{path}:[angle_axis]"
     if keys == _DETECTOR_KEYS:
         return detector_angle_axis(
-            _get(section, "pixels", where, convert=int),
+            _get(section, "pixels", where, convert=int, check=_positive),
             _get(section, "pixel_pitch_um", where, check=_positive),
             _get(section, "focal_length_mm", where, check=_positive),
         )
@@ -278,8 +303,9 @@ def _angle_axis(cp, path) -> np.ndarray:
         lo = _get(section, "min_mrad", where) * 1e-3
         hi = _get(section, "max_mrad", where) * 1e-3
         n = _get(section, "samples", where, convert=int)
-        if hi <= lo:
-            raise ConfigError("max_mrad must exceed min_mrad", key=where)
+        if not -math.inf < lo < hi < math.inf:
+            raise ConfigError("max_mrad must exceed min_mrad, both finite",
+                              key=where)
         if n < 2:
             raise ConfigError("need at least 2 samples", key=f"{where}.samples")
         return np.linspace(lo, hi, n)
@@ -299,6 +325,7 @@ def build_axes(cfg: RunConfig) -> MapAxes:
 
 def build_geometry(cfg: RunConfig) -> InterferometerGeometry:
     crystal = load_uniaxial_crystal(cfg.crystal_path, cfg.cut_angle_rad)
+    crystal.ordinary.check_range(cfg.pump_wavelength_nm * 1e-3)
     angle = cfg.pump_axis_angle_rad
     if angle is None:
         centre = 0.5 * (cfg.signal_min_nm + cfg.signal_max_nm)
@@ -329,6 +356,9 @@ def gas_grid(cfg: RunConfig, lines) -> np.ndarray:
     nu_edges = nu_cm_from_lambda_nm(lam_i_edges)
     lo = nu_edges.min() - cfg.grid_pad_cm
     hi = nu_edges.max() + cfg.grid_pad_cm
+    if not lo > 0:
+        raise ConfigError(f"idler grid starts at {lo:.6g} cm^-1, not above 0",
+                          key="[gas].grid_pad_cm")
     step = cfg.grid_step_cm
     if step is None:
         step = line_grid_step(lines, cfg.pressure_torr, cfg.temperature_k,

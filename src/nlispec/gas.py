@@ -100,9 +100,16 @@ class GasState:
                                        x_self=x_self,
                                        wing_cutoff_cm=wing_cutoff_cm,
                                        partition_ratio=partition_ratio)
+        if not np.all(np.isfinite(alpha)):
+            raise ValidityRangeError("absorption overflows: line strengths "
+                                     "or density out of range")
         if baseline is None:
             baseline = gas_index(visible, p_torr, t_k) - 1.0
         index = 1.0 + index_change_from_absorption(alpha, nu, baseline=baseline)
+        if not np.all(index > 0) or not np.all(np.isfinite(index)):
+            raise ValidityRangeError(
+                "idler index leaves (0, inf): absorption too strong for "
+                "this grid")
         return cls(p_torr=p_torr, t_k=t_k, visible=visible, idler_nu_cm=nu,
                    idler_alpha_cm=alpha, idler_index=index, label=label)
 
@@ -147,12 +154,15 @@ def line_grid_step(lines, p_torr, t_k, molar_mass_g, x_self=1.0) -> float:
 
 
 def uniform_grid(lo, hi, step, hint: str) -> np.ndarray:
-    """Grid from lo to hi at no more than `step`; `hint` ends the cap error."""
-    npts = int(np.ceil((hi - lo) / step)) + 1
-    if npts > MAX_GRID_POINTS:
+    """Grid from lo to hi at no more than `step`; `hint` ends the cap error.
+
+    It has at least the 3 points the KK transform needs.
+    """
+    npts = np.ceil((hi - lo) / step) + 1
+    if not npts <= MAX_GRID_POINTS:
         raise ValueError(
-            f"grid needs {npts} points (> {MAX_GRID_POINTS}); {hint}")
-    return np.linspace(lo, hi, npts)
+            f"grid needs {npts:.0f} points (> {MAX_GRID_POINTS}); {hint}")
+    return np.linspace(lo, hi, max(int(npts), 3))
 
 
 def default_line_grid(lines, p_torr, t_k, molar_mass_g, *, x_self=1.0,

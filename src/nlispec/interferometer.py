@@ -105,11 +105,13 @@ class MapAxes:
         ang = np.asarray(self.angle_rad, dtype=float)
         if lam.ndim != 1 or ang.ndim != 1:
             raise ValueError("axes must be 1-d")
-        if np.any(lam <= 0):
-            raise ValueError("non-positive wavelength on axis")
         for name, ax in (("wavelength", lam), ("angle", ang)):
-            if ax.size > 1 and np.any(np.diff(ax) <= 0):
+            if np.any(~np.isfinite(ax)):
+                raise ValueError(f"non-finite value on the {name} axis")
+            if np.any(~(np.diff(ax) > 0)):
                 raise ValueError(f"{name} axis must be strictly increasing")
+        if np.any(~(lam > 0)):
+            raise ValueError("non-positive wavelength on axis")
         object.__setattr__(self, "wavelength_nm", lam)
         object.__setattr__(self, "angle_rad", ang)
 
@@ -227,12 +229,21 @@ def check_beam_overlap(geom: InterferometerGeometry, axes: MapAxes) -> float:
 
 def simulate_map(geom: InterferometerGeometry, gas: GasState,
                  axes: MapAxes) -> np.ndarray:
-    """Angular-wavelength intensity map, shape (n_wavelength, n_angle)."""
+    """Angular-wavelength intensity map, shape (n_wavelength, n_angle).
+
+    Raises ValidityRangeError where the inputs, each in range, still
+    drive the model out of floating-point range (a non-finite map).
+    """
     check_beam_overlap(geom, axes)
     delta = crystal_phase_mismatch(geom, axes.wavelength_nm, axes.angle_rad)
     delta_m = gap_phase(geom, gas, axes.wavelength_nm, axes.angle_rad)
     tau = gap_fringe_amplitude(geom, gas, axes.wavelength_nm)[:, None]
-    return interference_intensity(delta, delta_m, tau)
+    intensity = interference_intensity(delta, delta_m, tau)
+    if not np.all(np.isfinite(intensity)):
+        raise ValidityRangeError(
+            "simulated intensity is not finite: an input is outside the "
+            "model's numerical range")
+    return intensity
 
 
 def with_gaussian_noise(intensity, sigma: float, rng) -> np.ndarray:

@@ -16,6 +16,18 @@ limit (zero Lorentz width) is evaluated exactly as exp(-x^2).  Relative
 error is therefore large only far out in a nearly Gaussian tail, where
 exp(-x^2) is below ~1e-14 of the peak.
 
+One kernel, `_faddeeva_into`, does that arithmetic for `faddeeva`,
+`voigt_profile` and the line loop of `absorption_coefficient`, one
+`out=` ufunc per operation and no product written over one of its
+factors, so all three give the same bits however the points are split
+into calls.  Its near points (x^2 + y^2 < 50^2 for z = x + iy) are one
+slice of its input and the far points the rest: `faddeeva` puts them
+there by a stable sort on the test, and a line window needs none,
+because its x is sorted and y is fixed per line.
+`absorption_coefficient` sizes its work arrays once per call, to the
+widest line window, and reuses them for every line, so the loop
+allocates nothing per line.
+
 Line lists come either from a self-describing CSV or from fixed-width
 160-column transition records (the common .par layout).  Column spans
 used from each record, 1-based inclusive:
@@ -35,6 +47,7 @@ Fortran-style 'D' exponents are accepted anywhere a float is expected.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -72,6 +85,104 @@ def _weideman_coefficients(n: int) -> tuple[float, np.ndarray]:
 
 _W_SCALE, _W_COEFFS = _weideman_coefficients(32)
 _W_FAR = 50.0   # |z| from which the asymptotic series takes over
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def _far_series(z, w, r, t, u):
+    """Asymptotic w(z) for |z| >= 50 into `w`; overwrites `z`, `r`, `t`, `u`.
+
+    i/(sqrt(pi) z) (1 + r (1 + 3r (1 + 5r (1 + 7r)))) with r = 1/(2 z^2),
+    one `out=` ufunc per operation, all arrays the same shape.  No
+    product is written over one of its factors: numpy rounds such an
+    in-place complex product of a single element differently.
+    """
+    np.multiply(z, z, out=r)
+    np.divide(0.5, r, out=r)
+    np.multiply(_SQRT_PI, z, out=t)
+    np.divide(1j, t, out=z)
+    np.multiply(7.0, r, out=w)
+    np.add(1.0, w, out=w)
+    np.multiply(5.0, r, out=t)
+    np.multiply(t, w, out=u)
+    np.add(1.0, u, out=u)
+    np.multiply(3.0, r, out=t)
+    np.multiply(t, u, out=w)
+    np.add(1.0, w, out=w)
+    np.multiply(r, w, out=u)
+    np.add(1.0, u, out=u)
+    np.multiply(z, u, out=w)
+
+
+def _weideman(z, w, r, t, u):
+    """Weideman's w(z) for |z| < 50 into `w`; overwrites `z`, `r`, `t`, `u`.
+
+    With d = L - iz and Z = (L + iz)/d: w = 2 p(Z)/d^2 + 1/(sqrt(pi) d),
+    p the 32-term polynomial by Horner's rule, each product written to
+    the other of two arrays (see `_far_series`).
+    """
+    np.multiply(1j, z, out=t)
+    np.subtract(_W_SCALE, t, out=r)
+    np.add(_W_SCALE, t, out=t)
+    np.divide(t, r, out=t)
+    p, q = w, u
+    p.fill(_W_COEFFS[0])
+    for c in _W_COEFFS[1:]:
+        np.multiply(p, t, out=q)
+        np.add(q, c, out=q)
+        p, q = q, p
+    np.multiply(2.0, p, out=q)
+    np.multiply(r, r, out=t)
+    np.divide(q, t, out=q)
+    np.multiply(_SQRT_PI, r, out=t)
+    np.divide(1.0, t, out=t)
+    np.add(q, t, out=w)
+
+
+def _faddeeva_into(z, i: int, j: int, work):
+    """w(z) for a 1-d complex `z` whose near points are z[i:j].
+
+    Every point outside that slice must be far (not `_is_near`).  Each
+    branch runs only on a non-empty part.  `work` is four complex arrays
+    at least as long as `z`; the result is the first, `z` and the rest
+    are overwritten.
+    """
+    n = z.size
+    w, r, t, u = work[:, :n]
+    if i > 0:
+        _far_series(z[:i], w[:i], r[:i], t[:i], u[:i])
+    if j < n:
+        _far_series(z[j:], w[j:], r[j:], t[j:], u[j:])
+    if i < j:
+        _weideman(z[i:j], w[i:j], r[i:j], t[i:j], u[i:j])
+    return w
+
+
+def _is_near(x, y):
+    """Whether x + iy lies inside the Weideman region, x^2 + y^2 < 50^2.
+
+    NaN counts as far.  The test is monotone in |x| at fixed y, so on a
+    non-decreasing x the near points form one contiguous run.
+    """
+    return x * x + y * y < _W_FAR * _W_FAR
+
+
+def _near_slice(x, y: float) -> tuple[int, int]:
+    """Bounds [i, j) of the near points of a non-decreasing real `x` at y.
+
+    The run flanks m, the first point with x >= 0: `_is_near` rises to
+    True before m and falls to False from m on, so each edge is one
+    bisection.  With neither neighbour of m near the run is empty,
+    returned as (0, 0) so that one far-series call covers all of `x`.
+    """
+    m = int(np.searchsorted(x, 0.0))
+    if not any(_is_near(float(x[k]), y) for k in (m - 1, m)
+               if 0 <= k < x.size):
+        return 0, 0
+    return (bisect.bisect_left(range(m), True,
+                               key=lambda k: _is_near(float(x[k]), y)),
+            bisect.bisect_left(range(m, x.size), True,
+                               key=lambda k: not _is_near(float(x[k]), y))
+            + m)
 
 
 def faddeeva(z):
@@ -81,21 +192,14 @@ def faddeeva(z):
     asymptotic series to (2z^2)^-4 beyond; absolute error ~4e-14.
     """
     z = np.asarray(z, dtype=complex)
-    w = np.empty_like(z)
-    far = np.abs(z) >= _W_FAR
-    zf = z[far]
-    r = 0.5 / (zf * zf)
-    w[far] = 1j / (math.sqrt(math.pi) * zf) * (
-        1.0 + r * (1.0 + 3.0 * r * (1.0 + 5.0 * r * (1.0 + 7.0 * r))))
-    zn = z[~far]
-    d = _W_SCALE - 1j * zn
-    big_z = (_W_SCALE + 1j * zn) / d
-    p = np.full_like(zn, _W_COEFFS[0])
-    for c in _W_COEFFS[1:]:
-        p *= big_z
-        p += c
-    w[~far] = 2.0 * p / (d * d) + 1.0 / (math.sqrt(math.pi) * d)
-    return w
+    near = _is_near(z.real, z.imag).ravel()
+    order = np.argsort(near, kind="stable")   # far points first
+    n_far = z.size - int(np.count_nonzero(near))
+    w = _faddeeva_into(z.ravel()[order], n_far, z.size,
+                       np.empty((4, z.size), dtype=complex))
+    out = np.empty(z.size, dtype=complex)
+    out[order] = w
+    return out.reshape(z.shape)
 
 
 @dataclass(frozen=True)
@@ -112,14 +216,17 @@ class SpectralLine:
     iso_id: int = 0
 
     def __post_init__(self):
-        if self.nu0_cm <= 0:
+        if not 0 < self.nu0_cm < math.inf:
             raise ValueError(f"non-positive line center {self.nu0_cm}")
-        if self.strength < 0:
+        if not 0 <= self.strength < math.inf:
             raise ValueError(f"negative line strength {self.strength}")
-        if self.gamma_air < 0 or self.gamma_self < 0:
+        if not (0 <= self.gamma_air < math.inf
+                and 0 <= self.gamma_self < math.inf):
             raise ValueError("negative pressure-broadening width")
-        if self.elow_cm < 0:
+        if not 0 <= self.elow_cm < math.inf:
             raise ValueError(f"negative lower-state energy {self.elow_cm}")
+        if not math.isfinite(self.n_air):
+            raise ValueError(f"non-finite width exponent {self.n_air}")
 
 
 def number_density(p_torr: float, t_k: float) -> float:
@@ -201,29 +308,53 @@ def absorption_coefficient(lines, nu_grid_cm, p_torr: float, t_k: float,
 
     Sums N(P,T) * S_j(T) * phi_j(nu) over all lines, each truncated at
     `wing_cutoff_cm` from its center.  The grid must be strictly
-    increasing and positive.
+    increasing and positive.  phi_j is `voigt_profile`, bit for bit,
+    evaluated in work arrays sized once to the widest line window.
     """
     nu = np.asarray(nu_grid_cm, dtype=float)
     if nu.ndim != 1 or nu.size < 1:
         raise ValueError("wavenumber grid must be a 1-d array")
-    if np.any(nu <= 0):
+    if np.any(~(nu > 0)):
         raise ValueError("wavenumber grid must be positive")
-    if nu.size > 1 and np.any(np.diff(nu) <= 0):
+    if np.any(~(np.diff(nu) > 0)):
         raise ValueError("wavenumber grid must be strictly increasing")
-    if wing_cutoff_cm <= 0:
+    if not wing_cutoff_cm > 0:
         raise ValueError(f"non-positive wing cutoff {wing_cutoff_cm}")
     dens = number_density(p_torr, t_k)
     alpha = np.zeros_like(nu)
     lines = list(lines)
     lo, hi = _line_windows(nu, np.array([ln.nu0_cm for ln in lines]),
                           wing_cutoff_cm)
+    width = int(np.max(hi - lo, initial=0))
+    buf = np.empty(width)
+    z = np.empty(width, dtype=complex)
+    work = np.empty((4, width), dtype=complex)
     for line, a, b in zip(lines, lo, hi):
         if a >= b:
             continue
         g_d = doppler_hwhm(line.nu0_cm, t_k, molar_mass_g)
         g_l = lorentz_hwhm(line, p_torr, t_k, x_self)
         s = line_strength(line, t_k, partition_ratio)
-        alpha[a:b] += dens * s * voigt_profile(nu[a:b] - line.nu0_cm, g_d, g_l)
+        # voigt_profile(nu[a:b] - nu0, g_d, g_l) in the same operation
+        # order, so the same bits, with every array a work-array view
+        sigma = g_d / _SQRT_2LN2
+        n = b - a
+        x = re_w = phi = buf[:n]
+        np.subtract(nu[a:b], line.nu0_cm, out=x)
+        np.divide(x, sigma * math.sqrt(2.0), out=x)
+        if g_l == 0.0:
+            np.multiply(x, x, out=re_w)
+            np.negative(re_w, out=re_w)
+            np.exp(re_w, out=re_w)
+        else:
+            y = g_l / (sigma * math.sqrt(2.0))
+            i, j = _near_slice(x, y)
+            z.real[:n] = x
+            z.imag[:n] = y
+            re_w = _faddeeva_into(z[:n], i, j, work).real
+        np.divide(re_w, sigma * math.sqrt(2.0 * math.pi), out=phi)
+        np.multiply(dens * s, phi, out=phi)
+        alpha[a:b] += phi
     return alpha
 
 

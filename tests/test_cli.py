@@ -1,11 +1,16 @@
+import configparser
 import dataclasses
+import json
+import math
 import re
 import shutil
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nlispec import data_path
 from nlispec.cli import main
@@ -311,6 +316,66 @@ def test_info_survives_map_byte_fuzz(tmp_path, capsys, target):
     capsys.readouterr()
 
 
+def test_info_rejects_nan_axis_value(tmp_path, capsys):
+    # json.dumps writes a bare NaN, which json.loads reads back
+    header = json.dumps({"rows": 3, "cols": 2,
+                         "wavelength_nm": [600.0, float("nan"), 610.0],
+                         "angle_rad": [0.0, 1e-3], "meta": {}}).encode()
+    path = tmp_path / "nan.nlm"
+    path.write_bytes(b"NLIMAP1\n" + struct.pack("<Q", len(header)) + header
+                     + np.ones((3, 2)).astype("<f8").tobytes())
+    assert main(["info", str(path)]) == 1
+    assert "wavelength" in capsys.readouterr().err
+
+
+# numeric keys of the demo config a user may mistype, by section
+_FUZZ_KEYS = {
+    "pump": ("wavelength_nm", "axis_angle_deg"),
+    "geometry": ("crystal_length_mm", "gap_length_mm", "aperture_mm"),
+    "gas": ("molar_mass_g_mol", "pressure_torr", "temperature_k",
+            "self_fraction", "wing_cutoff_cm", "partition_ratio",
+            "visible_n0", "visible_p0_torr", "visible_t0_k", "grid_step_cm",
+            "grid_pad_cm"),
+}
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1.0, math.nan, math.inf, -math.inf,
+                     5e-324, 1e-300, 1e300, 1.7e308]),
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@pytest.fixture(scope="module")
+def small_demo_config():
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    with open(data_path("co2_demo.cfg"), encoding="utf-8") as fh:
+        cp.read_file(fh)
+    cp["signal_axis"]["samples"] = "16"
+    cp["angle_axis"]["pixels"] = "64"
+    return cp
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_config_value_fuzz_exits_with_a_code(small_demo_config, tmp_path,
+                                             capsys, data):
+    cp = configparser.ConfigParser()
+    cp.read_dict(small_demo_config)
+    for section, keys in _FUZZ_KEYS.items():
+        for key in data.draw(st.lists(st.sampled_from(keys), unique=True,
+                                      max_size=3), label=section):
+            cp[section][key] = repr(data.draw(_FUZZ_VALUES,
+                                              label=f"{section}.{key}"))
+    cfg = tmp_path / "fuzz.cfg"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    assert main(["pump-angle", str(cfg)]) in (0, 1, 2, 3)
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "x.nlm")]) \
+        in (0, 1, 2, 3)
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("option, edit", [
     (("--noise", "-1"), None),
     (("--noise", "nan"), None),
@@ -489,7 +554,11 @@ def test_retrieve_summary_reports_band_peak(demo_dir, tmp_path, capsys):
      ("pixel_pitch_um = 13.0", "pixel_pitch_um = 3000.0")),
     (("min_nm = 601.5", "min_nm = 520"),
      ("axis_angle_deg = auto", "axis_angle_deg = 47.0")),
-], ids=["evanescent_angle", "signal_below_pump"])
+    (("molar_mass_g_mol = 44.0095", "molar_mass_g_mol = 1e-300"),),
+    (("pressure_torr = 10.5", "pressure_torr = 1e300"),),
+    (("visible_n0 = 1.000449", "visible_n0 = 1e300"),),
+], ids=["evanescent_angle", "signal_below_pump", "doppler_underflow",
+        "absorption_overflow", "map_overflow"])
 def test_exit_code_physics_out_of_range(tmp_path, edits):
     with open(DEMO_CFG, encoding="utf-8") as fh:
         text = fh.read()

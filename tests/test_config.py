@@ -14,7 +14,7 @@ from nlispec.config import (
     load_lines,
     load_run_config,
 )
-from nlispec.errors import ConfigError
+from nlispec.errors import ConfigError, ValidityRangeError
 from nlispec.resources import data_path
 
 MINIMAL = """\
@@ -175,12 +175,42 @@ def test_rejects_malformed(tmp_path, mutate, fragment):
     ("wing_cutoff_cm", "0"),
     ("grid_step_cm", "0"),
     ("grid_pad_cm", "-1"),
+    ("temperature_k", "inf"),
+    ("pressure_torr", "nan"),
+    ("partition_ratio", "-1"),
+    ("visible_n0", "0.5"),
+    ("visible_n0", "nan"),
 ])
 def test_rejects_out_of_range_gas_key(tmp_path, key, value):
     text = re.sub(rf"^{key} = .*\n", "", MINIMAL, flags=re.MULTILINE)
     with pytest.raises(ConfigError) as err:
         load_run_config(write_cfg(tmp_path, text + f"{key} = {value}\n"))
     assert err.value.key.endswith(f"[gas].{key}")
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("cut_angle_deg = 47.5", "cut_angle_deg = 120", "[crystal].cut_angle_deg"),
+    ("wavelength_nm = 532.0", "wavelength_nm = 532.0\naxis_angle_deg = 0",
+     "[pump].axis_angle_deg"),
+    ("wavelength_nm = 532.0", "wavelength_nm = 532.0\naxis_angle_deg = nan",
+     "[pump].axis_angle_deg"),
+    ("min_mrad = -6.0", "min_mrad = -inf", "[angle_axis]"),
+    ("min_mrad = -6.0\nmax_mrad = 6.0\nsamples = 33",
+     "pixels = 0\npixel_pitch_um = 13.0\nfocal_length_mm = 500.0",
+     "[angle_axis].pixels"),
+])
+def test_rejects_out_of_range_angle(tmp_path, old, new, where):
+    with pytest.raises(ConfigError) as err:
+        load_run_config(write_cfg(tmp_path, MINIMAL.replace(old, new)))
+    assert err.value.key.endswith(where)
+
+
+def test_pump_outside_crystal_range_exits_at_geometry(tmp_path):
+    text = MINIMAL.replace("wavelength_nm = 532.0",
+                           "wavelength_nm = 1e-3\naxis_angle_deg = 30")
+    cfg = load_run_config(write_cfg(tmp_path, text))
+    with pytest.raises(ValidityRangeError, match="validity range"):
+        build_geometry(cfg)
 
 
 def test_accepts_gas_range_edges(tmp_path):

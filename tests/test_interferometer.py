@@ -170,6 +170,19 @@ def test_map_axes_validation():
     assert not a.close_to(c)
 
 
+@pytest.mark.parametrize("lam, ang", [
+    ([600.0, np.nan, 610.0], [0.0, 1e-3]),
+    ([np.nan], [0.0, 1e-3]),
+    ([600.0, 610.0], [0.0, np.nan]),
+    ([600.0, 610.0], [np.nan]),
+    ([600.0, 610.0], [0.0, np.inf]),
+], ids=["wavelength_middle", "wavelength_only", "angle_last", "angle_only",
+        "angle_inf"])
+def test_map_axes_reject_non_finite(lam, ang):
+    with pytest.raises(ValueError):
+        MapAxes(np.array(lam), np.array(ang))
+
+
 def test_detector_angle_axis():
     ax = detector_angle_axis(1024, 13.0, 500.0)
     assert ax.size == 1024

@@ -152,6 +152,22 @@ def test_faddeeva_matches_scipy_wofz(y):
     assert np.abs(got - want).max() <= 1e-13 * peak
 
 
+@pytest.mark.parametrize("z", [
+    np.array([], dtype=complex),
+    0.3 + 0.2j,
+    np.linspace(-30.0, 30.0, 601) + 0.5j,
+    np.linspace(60.0, 1e4, 601) + 2.0j,
+    (np.linspace(-80.0, 80.0, 640)
+     + 1j * np.linspace(0.0, 60.0, 640)).reshape(32, 20),
+], ids=["empty", "scalar", "all_near", "all_far", "mixed_2d"])
+def test_faddeeva_shape_and_branches(z):
+    from scipy.special import wofz
+    got, want = faddeeva(z), wofz(z)
+    assert np.shape(got) == np.shape(z)
+    peak = wofz(1j * np.imag(z)).real
+    assert np.all(np.abs(got - want) <= 1e-13 * peak)
+
+
 def test_voigt_rejects_bad_widths():
     with pytest.raises(ValueError):
         voigt_profile(0.0, 0.0, 1e-3)
@@ -251,6 +267,51 @@ def test_alpha_equals_masked_line_loop():
     got = absorption_coefficient(lines, nu, 10.5, 300.0, 44.01,
                                  wing_cutoff_cm=25.0)
     assert np.array_equal(got, want)
+
+
+def _alpha_line_by_line(lines, nu, p, t, molar_mass, cutoff):
+    # oracle: one voigt_profile call per line over an elementwise mask
+    want = np.zeros_like(nu)
+    for ln in lines:
+        sel = np.abs(nu - ln.nu0_cm) <= cutoff
+        want[sel] += (number_density(p, t) * line_strength(ln, t)
+                      * voigt_profile(nu[sel] - ln.nu0_cm,
+                                      doppler_hwhm(ln.nu0_cm, t, molar_mass),
+                                      lorentz_hwhm(ln, p, t)))
+    return want
+
+
+def test_alpha_kernel_edge_cases_match_voigt_profile():
+    # a grid fine around 2351 and coarse elsewhere, so the line there has
+    # the widest window although it is neither first nor last
+    u = np.linspace(-1.0, 1.0, 3001)
+    nu = 2351.0 + 40.0 * u ** 3 + 10.0 * u
+    nu[1500] = 2351.0
+    cutoff = 20.0
+
+    def line(nu0, gamma=0.1):
+        return SpectralLine(nu0, 1e-19, gamma, gamma, 100.0, 0.75)
+
+    # the first window is cut off by the low edge, and its near run starts
+    # one point in, so a far part holds a single point
+    lines = [line(float(nu[1]) + 0.05),
+             line(2351.0),                 # centred on a grid point
+             line(2335.0, 0.0),            # zero Lorentz width
+             line(2360.0, 60.0),           # Im z >= 50: no near point
+             line(2396.0)]                 # window cut off by the high edge
+    p, t = 10.5, 300.0
+    gd = doppler_hwhm(2351.0, t, 44.01)
+    assert lorentz_hwhm(lines[2], p, t) == 0.0
+    assert lorentz_hwhm(lines[3], p, t) / (gd / math.sqrt(math.log(2))) > 50
+    assert lines[0].nu0_cm - cutoff < nu[0] and lines[4].nu0_cm + cutoff > nu[-1]
+    lo, hi = _line_windows(nu, np.array([ln.nu0_cm for ln in lines]), cutoff)
+    assert (hi - lo)[1] > np.delete(hi - lo, 1).max()
+    assert lo[0] == 0 and hi[4] == nu.size
+    got = absorption_coefficient(lines, nu, p, t, 44.01,
+                                 wing_cutoff_cm=cutoff)
+    want = _alpha_line_by_line(lines, nu, p, t, 44.01, cutoff)
+    assert np.array_equal(got, want)
+    assert got[1500] > 0.0
 
 
 def test_alpha_wing_cutoff_truncates():
@@ -377,3 +438,14 @@ def test_spectral_line_validation():
         SpectralLine(-1.0, 1e-19, 0.09, 0.14, 500.0, 0.75)
     with pytest.raises(ValueError):
         SpectralLine(2349.0, -1e-19, 0.09, 0.14, 500.0, 0.75)
+
+
+@pytest.mark.parametrize("field", range(6))
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spectral_line_rejects_non_finite(field, bad):
+    # a NaN center would drop the line silently, a NaN strength or
+    # width would turn alpha NaN over the whole window
+    values = [2349.0, 1e-19, 0.09, 0.14, 500.0, 0.75]
+    values[field] = bad
+    with pytest.raises(ValueError):
+        SpectralLine(*values)
