@@ -96,8 +96,9 @@ def _cmd_simulate(args) -> int:
     intensity = simulate_map(geom, gas, axes)
 
     for option, value in (("--noise", args.noise), ("--seed", args.seed)):
-        if value is not None:
-            _nonnegative(value, option)
+        broken = None if value is None else _nonnegative(value)
+        if broken:
+            raise ConfigError(f"{broken}, got {value}", key=option)
     sigma_rel = cfg.noise_sigma_rel if args.noise is None else args.noise
     seed = cfg.noise_seed if args.seed is None else args.seed
     if sigma_rel > 0:

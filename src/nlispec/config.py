@@ -1,9 +1,15 @@
 """Run configuration: one INI file describes a complete simulated run.
 
-Sections and keys are validated strictly: unknown sections, unknown
-keys, missing required keys and unparseable values all raise
-ConfigError naming the offending path.  Keys carry their unit in the
-name, so a config file can be read without consulting the docs.
+`_KEYS` is the schema.  For each section and key it declares, once, the
+`RunConfig` field the value lands in, the converter to the unit the
+model uses, the range rule and the default (or `_REQUIRED`).  One loop
+over it rejects unknown sections and keys, reports a missing section or
+required key, and converts and range-checks every key that is given,
+even one that another key leaves unused.  Each failure raises
+ConfigError naming the offending `path:[section].key`.  Only the rules
+that tie several keys together are code after that loop.  Keys carry
+their unit in the name, so a config file can be read without
+consulting the docs.
 
 The [gas] section's `lines` (and [crystal] `coefficients`) accept
 either a path, a relative one taken from the config file's directory,
@@ -34,45 +40,6 @@ from .interferometer import (
 )
 from .lineshape import load_line_csv, load_par_file
 from .resources import data_path
-
-_SCHEMA = {
-    "crystal": {
-        "required": {"coefficients", "cut_angle_deg"},
-        "optional": set(),
-    },
-    "pump": {
-        "required": {"wavelength_nm"},
-        "optional": {"axis_angle_deg"},
-    },
-    "geometry": {
-        "required": {"crystal_length_mm", "gap_length_mm"},
-        "optional": {"aperture_mm"},
-    },
-    "signal_axis": {
-        "required": {"min_nm", "max_nm", "samples"},
-        "optional": set(),
-    },
-    "angle_axis": {
-        "required": set(),
-        "optional": {"pixels", "pixel_pitch_um", "focal_length_mm",
-                     "min_mrad", "max_mrad", "samples"},
-    },
-    "gas": {
-        "required": {"lines", "molar_mass_g_mol", "pressure_torr",
-                     "temperature_k"},
-        "optional": {"self_fraction", "wing_cutoff_cm", "partition_ratio",
-                     "visible_n0", "visible_p0_torr", "visible_t0_k",
-                     "grid_step_cm", "grid_pad_cm", "molecule_id",
-                     "isotopologue_id"},
-    },
-    "noise": {
-        "required": set(),
-        "optional": {"sigma_rel", "seed"},
-    },
-}
-
-_DETECTOR_KEYS = {"pixels", "pixel_pitch_um", "focal_length_mm"}
-_SPAN_KEYS = {"min_mrad", "max_mrad", "samples"}
 
 
 @dataclass(frozen=True)
@@ -106,6 +73,100 @@ class RunConfig:
     noise_seed: int
 
 
+# range rules: None for a value in range, else the rule that it breaks
+def _positive(value):
+    return None if 0 < value < math.inf else "must be positive and finite"
+
+
+def _nonnegative(value):
+    return None if 0 <= value < math.inf else "must be non-negative and finite"
+
+
+def _above_one(value):
+    return None if 1 < value < math.inf else "must exceed 1 and be finite"
+
+
+def _fraction(value):
+    return None if 0 <= value <= 1 else "must lie in [0, 1]"
+
+
+def _axis_angle(value):
+    return None if 0 < value <= math.pi / 2 else "must lie in (0, 90] degrees"
+
+
+def _two_or_more(value):
+    return None if value >= 2 else "need at least 2 samples"
+
+
+# converters, so that range rules see the unit the model uses
+def _radians(raw: str) -> float:
+    return math.radians(float(raw))
+
+
+def _scaled(factor: float):
+    return lambda raw: factor * float(raw)
+
+
+def _auto_or_radians(raw: str) -> float | None:
+    return None if raw.lower() == "auto" else _radians(raw)
+
+
+_REQUIRED = object()  # the default of a key that must be given
+
+# section -> key -> (field, converter, range rule, default).  A field
+# that RunConfig lacks feeds a rule over several keys after the loop.
+_KEYS = {
+    "crystal": {
+        "coefficients": ("crystal_path", str, None, _REQUIRED),
+        "cut_angle_deg": ("cut_angle_rad", _radians, _axis_angle, _REQUIRED),
+    },
+    "pump": {
+        "wavelength_nm": ("pump_wavelength_nm", float, _positive, _REQUIRED),
+        "axis_angle_deg": ("pump_axis_angle_rad", _auto_or_radians,
+                           _axis_angle, None),
+    },
+    "geometry": {
+        "crystal_length_mm": ("crystal_length_cm", _scaled(0.1), _positive,
+                              _REQUIRED),
+        "gap_length_mm": ("gap_length_cm", _scaled(0.1), _positive, _REQUIRED),
+        "aperture_mm": ("aperture_cm", _scaled(0.1), _positive, None),
+    },
+    "signal_axis": {
+        "min_nm": ("signal_min_nm", float, _positive, _REQUIRED),
+        "max_nm": ("signal_max_nm", float, _positive, _REQUIRED),
+        "samples": ("signal_samples", int, _two_or_more, _REQUIRED),
+    },
+    "angle_axis": {
+        "pixels": ("pixels", int, _positive, None),
+        "pixel_pitch_um": ("pixel_pitch_um", float, _positive, None),
+        "focal_length_mm": ("focal_length_mm", float, _positive, None),
+        "min_mrad": ("min_rad", _scaled(1e-3), None, None),
+        "max_mrad": ("max_rad", _scaled(1e-3), None, None),
+        "samples": ("angle_samples", int, _two_or_more, None),
+    },
+    "gas": {
+        "lines": ("lines_path", str, None, _REQUIRED),
+        "molecule_id": ("molecule_id", int, None, None),
+        "isotopologue_id": ("isotopologue_id", int, None, None),
+        "molar_mass_g_mol": ("molar_mass_g_mol", float, _positive, _REQUIRED),
+        "pressure_torr": ("pressure_torr", float, _nonnegative, _REQUIRED),
+        "temperature_k": ("temperature_k", float, _positive, _REQUIRED),
+        "self_fraction": ("self_fraction", float, _fraction, 1.0),
+        "wing_cutoff_cm": ("wing_cutoff_cm", float, _positive, 25.0),
+        "partition_ratio": ("partition_ratio", float, _positive, 1.0),
+        "visible_n0": ("visible_n0", float, _above_one, None),
+        "visible_p0_torr": ("visible_p0_torr", float, _positive, 760.0),
+        "visible_t0_k": ("visible_t0_k", float, _positive, 273.15),
+        "grid_step_cm": ("grid_step_cm", float, _positive, None),
+        "grid_pad_cm": ("grid_pad_cm", float, _nonnegative, 30.0),
+    },
+    "noise": {
+        "sigma_rel": ("noise_sigma_rel", float, _nonnegative, 0.0),
+        "seed": ("noise_seed", int, _nonnegative, 0),
+    },
+}
+
+
 def _resolve_data(name: str, config_path, where: str) -> str:
     local = os.path.join(os.path.dirname(str(config_path)), name)
     if os.path.exists(local):
@@ -116,61 +177,17 @@ def _resolve_data(name: str, config_path, where: str) -> str:
     raise ConfigError(f"file not found: {name}", key=where)
 
 
-def _get(section, key, where, convert=float, default=None, required=True,
-         check=None):
-    """Parsed `key`; `check(value, key_path)` raises if it is out of range."""
-    if key not in section:
-        if required:
-            raise ConfigError("missing required key", key=f"{where}.{key}")
-        return default
-    raw = section[key].strip()
+def _parse(raw: str, convert, rule, where: str):
+    raw = raw.strip()
     try:
         value = convert(raw)
     except ValueError:
         raise ConfigError(f"cannot parse value {raw!r}",
-                          key=f"{where}.{key}") from None
-    if check is not None:
-        check(value, f"{where}.{key}")
+                          key=where) from None
+    broken = None if rule is None or value is None else rule(value)
+    if broken:
+        raise ConfigError(f"{broken}, got {raw}", key=where)
     return value
-
-
-def _positive(value, where):
-    if not 0 < value < math.inf:
-        raise ConfigError(f"must be positive and finite, got {value}",
-                          key=where)
-
-
-def _nonnegative(value, where):
-    if not 0 <= value < math.inf:
-        raise ConfigError(f"must not be negative or infinite, got {value}",
-                          key=where)
-
-
-def _above_one(value, where):
-    if not 1 < value < math.inf:
-        raise ConfigError(f"must exceed 1 and be finite, got {value}",
-                          key=where)
-
-
-def _axis_angle(value, where):
-    if not 0 < value <= math.pi / 2:
-        raise ConfigError(
-            f"must lie in (0, 90] degrees, got {math.degrees(value)}",
-            key=where)
-
-
-# converters for `_get`, so that range checks see the unit the model uses
-def _radians(raw: str) -> float:
-    return math.radians(float(raw))
-
-
-def _cm_from_mm(raw: str) -> float:
-    return 0.1 * float(raw)
-
-
-def _fraction(value, where):
-    if not 0 <= value <= 1:
-        raise ConfigError(f"must lie in [0, 1], got {value}", key=where)
 
 
 def load_run_config(path) -> RunConfig:
@@ -184,143 +201,75 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"cannot parse config: {exc}", key=str(path))
 
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]", key=str(path))
-        allowed = _SCHEMA[section]["required"] | _SCHEMA[section]["optional"]
-        for key in cp[section]:
-            if key not in allowed:
-                raise ConfigError("unknown key", key=f"{path}:[{section}].{key}")
-    for section, spec in _SCHEMA.items():
-        if spec["required"] and not cp.has_section(section):
-            raise ConfigError(f"missing section [{section}]", key=str(path))
-        for key in spec["required"]:
-            if key not in cp[section]:
-                raise ConfigError("missing required key",
+    fields = {}
+    for section, keys in _KEYS.items():
+        given = cp[section] if cp.has_section(section) else {}
+        for key in given:
+            if key not in keys:
+                raise ConfigError("unknown key",
                                   key=f"{path}:[{section}].{key}")
+        for key, (field, convert, rule, default) in keys.items():
+            where = f"{path}:[{section}].{key}"
+            if key in given:
+                fields[field] = _parse(given[key], convert, rule, where)
+            elif default is not _REQUIRED:
+                fields[field] = default
+            elif cp.has_section(section):
+                raise ConfigError("missing required key", key=where)
+            else:
+                raise ConfigError(f"missing section [{section}]",
+                                  key=str(path))
 
-    crystal = cp["crystal"]
-    pump = cp["pump"]
-    geometry = cp["geometry"]
-    signal = cp["signal_axis"]
-    gas = cp["gas"]
-
-    angle_raw = pump.get("axis_angle_deg", "auto").strip().lower()
-    if angle_raw == "auto":
-        pump_angle = None
-    else:
-        pump_angle = _get(pump, "axis_angle_deg", f"{path}:[pump]",
-                          convert=_radians, check=_axis_angle)
-
-    angle_axis = _angle_axis(cp, path)
-
-    lo = _get(signal, "min_nm", f"{path}:[signal_axis]", check=_positive)
-    hi = _get(signal, "max_nm", f"{path}:[signal_axis]", check=_positive)
-    if not hi > lo:
+    if not fields["signal_max_nm"] > fields["signal_min_nm"]:
         raise ConfigError("max_nm must exceed min_nm",
                           key=f"{path}:[signal_axis]")
-    samples = _get(signal, "samples", f"{path}:[signal_axis]", convert=int)
-    if samples < 2:
-        raise ConfigError("need at least 2 samples",
-                          key=f"{path}:[signal_axis].samples")
-
-    n0 = _get(gas, "visible_n0", f"{path}:[gas]", required=False,
-              check=_above_one)
-    visible = None
-    if n0 is not None:
-        visible = GasIndexModel(
-            n0=n0,
-            p0_torr=_get(gas, "visible_p0_torr", f"{path}:[gas]",
-                         default=760.0, required=False, check=_positive),
-            t0_k=_get(gas, "visible_t0_k", f"{path}:[gas]",
-                      default=273.15, required=False, check=_positive),
-        )
-
-    noise = cp["noise"] if cp.has_section("noise") else {}
-    sigma_rel = _get(noise, "sigma_rel", f"{path}:[noise]", default=0.0,
-                     required=False, check=_nonnegative)
-    seed = _get(noise, "seed", f"{path}:[noise]", convert=int, default=0,
-                required=False, check=_nonnegative)
-
-    return RunConfig(
-        crystal_path=_resolve_data(crystal["coefficients"].strip(), path,
-                                   f"{path}:[crystal].coefficients"),
-        cut_angle_rad=_get(crystal, "cut_angle_deg", f"{path}:[crystal]",
-                           convert=_radians, check=_axis_angle),
-        pump_wavelength_nm=_get(pump, "wavelength_nm", f"{path}:[pump]",
-                                check=_positive),
-        pump_axis_angle_rad=pump_angle,
-        crystal_length_cm=_get(geometry, "crystal_length_mm",
-                               f"{path}:[geometry]", convert=_cm_from_mm,
-                               check=_positive),
-        gap_length_cm=_get(geometry, "gap_length_mm", f"{path}:[geometry]",
-                           convert=_cm_from_mm, check=_positive),
-        aperture_cm=_get(geometry, "aperture_mm", f"{path}:[geometry]",
-                         convert=_cm_from_mm, required=False,
-                         check=_positive),
-        signal_min_nm=lo, signal_max_nm=hi, signal_samples=samples,
-        angle_axis_rad=angle_axis,
-        lines_path=_resolve_data(gas["lines"].strip(), path,
-                                 f"{path}:[gas].lines"),
-        molecule_id=_get(gas, "molecule_id", f"{path}:[gas]", convert=int,
-                         required=False),
-        isotopologue_id=_get(gas, "isotopologue_id", f"{path}:[gas]",
-                             convert=int, required=False),
-        molar_mass_g_mol=_get(gas, "molar_mass_g_mol", f"{path}:[gas]",
-                              check=_positive),
-        pressure_torr=_get(gas, "pressure_torr", f"{path}:[gas]",
-                           check=_nonnegative),
-        temperature_k=_get(gas, "temperature_k", f"{path}:[gas]",
-                           check=_positive),
-        self_fraction=_get(gas, "self_fraction", f"{path}:[gas]", default=1.0,
-                           required=False, check=_fraction),
-        wing_cutoff_cm=_get(gas, "wing_cutoff_cm", f"{path}:[gas]",
-                            default=25.0, required=False, check=_positive),
-        partition_ratio=_get(gas, "partition_ratio", f"{path}:[gas]",
-                             default=1.0, required=False, check=_positive),
-        visible=visible,
-        grid_step_cm=_get(gas, "grid_step_cm", f"{path}:[gas]",
-                          required=False, check=_positive),
-        grid_pad_cm=_get(gas, "grid_pad_cm", f"{path}:[gas]", default=30.0,
-                         required=False, check=_nonnegative),
-        noise_sigma_rel=sigma_rel,
-        noise_seed=seed,
-    )
+    fields["angle_axis_rad"] = _angle_axis(fields, f"{path}:[angle_axis]")
+    n0 = fields.pop("visible_n0")
+    p0, t0 = fields.pop("visible_p0_torr"), fields.pop("visible_t0_k")
+    fields["visible"] = None if n0 is None else \
+        GasIndexModel(n0=n0, p0_torr=p0, t0_k=t0)
+    fields["crystal_path"] = _resolve_data(
+        fields["crystal_path"], path, f"{path}:[crystal].coefficients")
+    fields["lines_path"] = _resolve_data(fields["lines_path"], path,
+                                         f"{path}:[gas].lines")
+    return RunConfig(**fields)
 
 
-def _angle_axis(cp, path) -> np.ndarray:
-    if not cp.has_section("angle_axis"):
-        raise ConfigError("missing section [angle_axis]", key=str(path))
-    section = cp["angle_axis"]
-    keys = set(section.keys())
-    where = f"{path}:[angle_axis]"
-    if keys == _DETECTOR_KEYS:
-        return detector_angle_axis(
-            _get(section, "pixels", where, convert=int, check=_positive),
-            _get(section, "pixel_pitch_um", where, check=_positive),
-            _get(section, "focal_length_mm", where, check=_positive),
-        )
-    if keys == _SPAN_KEYS:
-        lo = _get(section, "min_mrad", where) * 1e-3
-        hi = _get(section, "max_mrad", where) * 1e-3
-        n = _get(section, "samples", where, convert=int)
-        if not -math.inf < lo < hi < math.inf:
-            raise ConfigError("max_mrad must exceed min_mrad, both finite",
-                              key=where)
-        if n < 2:
-            raise ConfigError("need at least 2 samples", key=f"{where}.samples")
-        return np.linspace(lo, hi, n)
-    raise ConfigError(
-        "give either {pixels, pixel_pitch_um, focal_length_mm} or "
-        "{min_mrad, max_mrad, samples}", key=where)
+def _angle_axis(fields: dict, where: str) -> np.ndarray:
+    """Detector angles from exactly one of the two [angle_axis] key sets."""
+    detector = tuple(fields.pop(name) for name in
+                     ("pixels", "pixel_pitch_um", "focal_length_mm"))
+    span = tuple(fields.pop(name) for name in
+                 ("min_rad", "max_rad", "angle_samples"))
+    with np.errstate(all="ignore"):  # a collapsed axis is rejected below
+        if None not in detector and span == (None,) * 3:
+            axis = detector_angle_axis(*detector)
+        elif None not in span and detector == (None,) * 3:
+            axis = np.linspace(*span)
+        else:
+            raise ConfigError(
+                "give either {pixels, pixel_pitch_um, focal_length_mm} or "
+                "{min_mrad, max_mrad, samples}", key=where)
+    return _increasing(axis, where)
+
+
+def _increasing(axis: np.ndarray, where: str) -> np.ndarray:
+    # extreme values can collapse an axis onto repeated or infinite values
+    if not (np.all(np.isfinite(axis)) and np.all(np.diff(axis) > 0)):
+        raise ConfigError("axis values must be finite and strictly "
+                          "increasing", key=where)
+    return axis
 
 
 # ------------------------------------------------------------ builders
 
 def build_axes(cfg: RunConfig) -> MapAxes:
-    return MapAxes(
-        np.linspace(cfg.signal_min_nm, cfg.signal_max_nm, cfg.signal_samples),
-        cfg.angle_axis_rad,
-    )
+    wavelength = np.linspace(cfg.signal_min_nm, cfg.signal_max_nm,
+                             cfg.signal_samples)
+    return MapAxes(_increasing(wavelength, "[signal_axis]"),
+                   cfg.angle_axis_rad)
 
 
 def build_geometry(cfg: RunConfig) -> InterferometerGeometry:

@@ -252,9 +252,14 @@ def with_gaussian_noise(intensity, sigma: float, rng) -> np.ndarray:
         raise ValueError(f"negative noise level {sigma}")
     if sigma == 0:
         return np.array(intensity, dtype=float, copy=True)
-    return np.asarray(intensity, dtype=float) + rng.normal(
+    noisy = np.asarray(intensity, dtype=float) + rng.normal(
         0.0, sigma, size=np.shape(intensity)
     )
+    if not np.all(np.isfinite(noisy)):
+        raise ValidityRangeError(
+            f"noise level {sigma:g} drives the map out of floating-point "
+            "range")
+    return noisy
 
 
 def collinear_phase_matching_angle(crystal: UniaxialCrystalIndex,

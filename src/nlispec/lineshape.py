@@ -451,6 +451,9 @@ def load_par_file(path, molecule: int | None = None,
             if isotopologue is not None and line.iso_id != isotopologue:
                 continue
             out.append(line)
+    if not out:
+        raise LineParseError(f"no lines in {path} with molecule_id "
+                             f"{molecule}, isotopologue_id {isotopologue}")
     return out
 
 

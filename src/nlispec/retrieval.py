@@ -325,8 +325,7 @@ def _model_pattern(geom: InterferometerGeometry, lambda_s_nm, theta_rad,
 def retrieve(sample: IntensityMap, reference: IntensityMap,
              geom: InterferometerGeometry, *, engine: str = "model",
              rows=None, polish: bool = True, on_negative: str = "keep",
-             sample_visible_index: float = 1.0,
-             reference_visible_index: float = 1.0) -> RetrievalResult:
+             sample_visible_index: float = 1.0) -> RetrievalResult:
     """Recover alpha and the idler index offset per signal wavelength.
 
     `reference` must be recorded with an evacuated gap on identical
@@ -356,11 +355,8 @@ def retrieve(sample: IntensityMap, reference: IntensityMap,
     if engine == "model":
         phase_s, envelope, steepening = _model_pattern(
             geom, lam_s, axes.angle_rad, sample_visible_index)
-        if reference_visible_index == sample_visible_index:
-            phase_r = phase_s
-        else:
-            phase_r, _, _ = _model_pattern(
-                geom, lam_s, axes.angle_rad, reference_visible_index)
+        # the reference gap is evacuated: visible index 1
+        phase_r, _, _ = _model_pattern(geom, lam_s, axes.angle_rad)
         est_s = fit_rows_model(sample.intensity[row_idx], envelope, phase_s,
                                steepening, polish=polish)
         est_r = fit_rows_model(reference.intensity[row_idx], envelope,
@@ -383,7 +379,7 @@ def retrieve(sample: IntensityMap, reference: IntensityMap,
     meta = {"engine": engine, "polish": bool(polish),
             "gap_length_cm": geom.gap_length_cm,
             "sample_visible_index": sample_visible_index,
-            "reference_visible_index": reference_visible_index,
+            "reference_visible_index": 1.0,
             "sample_meta": sample.meta, "reference_meta": reference.meta}
     from .gas import nu_cm_from_lambda_nm
     return RetrievalResult(

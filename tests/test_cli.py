@@ -219,6 +219,27 @@ def test_exit_code_aperture_overflow(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("records, selection", [
+    (1, "molecule_id = 7"),
+    (1, "isotopologue_id = 2"),
+    (0, ""),
+], ids=["other_molecule", "other_isotopologue", "empty_file"])
+def test_exit_code_empty_par_selection(tmp_path, records, selection):
+    # one CO2 record: molecule 2, isotopologue 1
+    record = " 21 2349.917138 3.553E-19 1.234E+00.0758.0942 1234.56780.75"
+    (tmp_path / "lines.par").write_text(records * (record.ljust(160) + "\n"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CFG.replace("co2_synthetic_lines.csv", "lines.par")
+                   + selection + "\n")
+    out = subprocess.run([sys.executable, "-m", "nlispec.cli", "simulate",
+                          str(cfg), "-o", str(tmp_path / "x.nlm")],
+                         capture_output=True, text=True)
+    assert out.returncode == 1, out.stderr
+    assert "no lines in" in out.stderr and "lines.par" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "x.nlm").exists()
+
+
 def test_exit_code_missing_input(workdir, tmp_path, capsys):
     code = main(["retrieve", str(tmp_path / "absent.nlm"),
                  str(workdir / "reference.nlm"), str(workdir / "run.cfg"),
@@ -330,12 +351,16 @@ def test_info_rejects_nan_axis_value(tmp_path, capsys):
 
 # numeric keys of the demo config a user may mistype, by section
 _FUZZ_KEYS = {
+    "crystal": ("cut_angle_deg",),
     "pump": ("wavelength_nm", "axis_angle_deg"),
     "geometry": ("crystal_length_mm", "gap_length_mm", "aperture_mm"),
     "gas": ("molar_mass_g_mol", "pressure_torr", "temperature_k",
             "self_fraction", "wing_cutoff_cm", "partition_ratio",
             "visible_n0", "visible_p0_torr", "visible_t0_k", "grid_step_cm",
             "grid_pad_cm"),
+    "signal_axis": ("min_nm", "max_nm"),
+    "angle_axis": ("pixel_pitch_um", "focal_length_mm"),
+    "noise": ("sigma_rel",),
 }
 _FUZZ_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, 1.0, math.nan, math.inf, -math.inf,
@@ -382,8 +407,10 @@ def test_config_value_fuzz_exits_with_a_code(small_demo_config, tmp_path,
     ((), "sigma_rel = nan"),
     (("--seed", "-1"), None),
     ((), "seed = -5"),
+    (("--noise", "1e308"), None),
+    ((), "sigma_rel = 1.7e308"),
 ], ids=["noise_negative", "noise_nan", "sigma_rel_nan", "seed_negative",
-        "config_seed_negative"])
+        "config_seed_negative", "noise_overflow", "sigma_rel_overflow"])
 def test_exit_code_noise_out_of_range(tmp_path, option, edit):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CFG + ("\n[noise]\nsigma_rel = 0.01\n" if edit is None

@@ -111,6 +111,15 @@ def test_build_axes_shape(tmp_path):
     assert axes.wavelength_nm[-1] == 612.0
 
 
+def test_build_axes_rejects_collapsed_signal_axis(tmp_path):
+    # 16 samples across one rounding step of 604 nm cannot be distinct
+    text = MINIMAL.replace("max_nm = 612.0", "max_nm = 604.0000000000001")
+    cfg = load_run_config(write_cfg(tmp_path, text))
+    with pytest.raises(ConfigError) as err:
+        build_axes(cfg)
+    assert err.value.key == "[signal_axis]"
+
+
 def test_gas_grid_covers_map(tmp_path):
     cfg = load_run_config(write_cfg(tmp_path, MINIMAL))
     lines = load_lines(cfg)
@@ -180,6 +189,8 @@ def test_rejects_malformed(tmp_path, mutate, fragment):
     ("partition_ratio", "-1"),
     ("visible_n0", "0.5"),
     ("visible_n0", "nan"),
+    ("visible_p0_torr", "-5"),
+    ("visible_t0_k", "nan"),
 ])
 def test_rejects_out_of_range_gas_key(tmp_path, key, value):
     text = re.sub(rf"^{key} = .*\n", "", MINIMAL, flags=re.MULTILINE)
@@ -198,6 +209,12 @@ def test_rejects_out_of_range_gas_key(tmp_path, key, value):
     ("min_mrad = -6.0\nmax_mrad = 6.0\nsamples = 33",
      "pixels = 0\npixel_pitch_um = 13.0\nfocal_length_mm = 500.0",
      "[angle_axis].pixels"),
+    ("min_mrad = -6.0\nmax_mrad = 6.0\nsamples = 33",
+     "pixels = 64\npixel_pitch_um = 5e-324\nfocal_length_mm = 500.0",
+     "[angle_axis]"),
+    ("min_mrad = -6.0\nmax_mrad = 6.0\nsamples = 33",
+     "pixels = 64\npixel_pitch_um = 13.0\nfocal_length_mm = 5e-324",
+     "[angle_axis]"),
 ])
 def test_rejects_out_of_range_angle(tmp_path, old, new, where):
     with pytest.raises(ConfigError) as err:
