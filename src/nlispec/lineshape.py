@@ -193,12 +193,14 @@ def faddeeva(z):
     """
     z = np.asarray(z, dtype=complex)
     near = _is_near(z.real, z.imag).ravel()
-    order = np.argsort(near, kind="stable")   # far points first
     n_far = z.size - int(np.count_nonzero(near))
-    w = _faddeeva_into(z.ravel()[order], n_far, z.size,
-                       np.empty((4, z.size), dtype=complex))
+    work = np.empty((4, z.size), dtype=complex)
+    if n_far in (0, z.size):   # one branch: no reordering needed
+        return _faddeeva_into(z.ravel().copy(), n_far, z.size,
+                              work).reshape(z.shape)
+    order = np.argsort(near, kind="stable")   # far points first
     out = np.empty(z.size, dtype=complex)
-    out[order] = w
+    out[order] = _faddeeva_into(z.ravel()[order], n_far, z.size, work)
     return out.reshape(z.shape)
 
 

@@ -10,20 +10,25 @@ are processed row by row, i.e. one signal wavelength at a time:
              n_idler - n_visible = -dphi lambda_i / (2 pi L_m).
 
 Two per-row estimators are available.  The model engine fits each row
-to the known vacuum fringe pattern A E (1 + tau cos(phi + dphi m)),
-with E the sinc^2 envelope and m the slight steepening of the phase
-shift off axis (factor 1/sqrt(1 - (q / k_i)^2)).  It fits blocks of
-rows at once: a linear projection onto {E, E cos phi, E sin phi} gives
-the start, and damped Gauss-Newton steps on the analytic Jacobian
-polish it.  It is exact on noiseless model data.  The extrema engine is
-model-free: it flattens every row with a low-order polynomial envelope
-(one least-squares solve for all rows) and reads the contrast from
-quadratically refined local extrema, found for all rows at once.  It
-retrieves absorption only (no phase) and serves as an independent
-cross-check on the model route.  Both engines take the rows together
-and return NaN in every field of a row they cannot read (a dim row, or
-too few resolved fringes) while reading the rest; neither raises for a
-bad row.
+to the known vacuum fringe pattern A E (1 + tau cos(phi + d m)), with E
+the sinc^2 envelope and m the slight steepening of the phase shift off
+axis (factor 1/sqrt(1 - (q / k_i)^2)).  Once d is fixed the model is
+linear in A and A tau, so the fit is repeated linear projections of a
+block of rows (separable least squares, Golub & Pereyra 1973).  Pass 0
+projects onto {E, E cos phi, E sin phi}: with coefficients (a0, ac, as)
+A = a0, tau = hypot(ac, as) / a0 and d = atan2(-as, ac).  Each later
+pass projects onto {E, E cos theta, m E sin theta}, theta = phi + d m,
+and adds atan2(-as, ac) to d.  These columns span the model's Jacobian,
+so a pass is an undamped Gauss-Newton step whose fixed point is the
+least-squares optimum; it is exact on noiseless model data.  The
+extrema engine is model-free: it flattens every row with a low-order
+polynomial envelope (one least-squares solve for all rows) and reads
+the contrast from quadratically refined local extrema, found for all
+rows at once.  It retrieves absorption only (no phase) and serves as an
+independent cross-check on the model route.  Both engines take the rows
+together and return NaN in every field of a row they cannot read (a
+dim row, or too few resolved fringes) while reading the rest; neither
+raises for a bad row.
 
 Because both rows of a pair are fitted identically, estimator bias is
 common mode: it divides out of V and subtracts out of dphi.
@@ -100,15 +105,12 @@ class RowEstimate:
     sigma_phase: np.ndarray
 
 
-# Polish stopping rule, per row: a step within _XTOL (relative to the
-# linear-stage amplitude for A, absolute for tau and phase) or a cost
-# drop within _FTOL of the cost ends the fit; so does damping past 1e12.
-_XTOL = 1e-8
-_FTOL = 1e-10
-_DAMPING0 = 1e-3
-_MAX_TRIALS = 200
-# Rows fitted together.  Bounds the (rows x angles x 3) Jacobian and the
-# per-block copies, which for a whole map would outgrow the maps.
+# Gauss-Newton passes after the linear stage stop once no row's phase
+# moves by more than _PHASE_TOL rad, or after _MAX_PASSES of them.
+_PHASE_TOL = 1e-8
+_MAX_PASSES = 20
+# Rows fitted together.  Bounds the (rows x angles x 3) design matrix and
+# the per-block copies, which for a whole map would outgrow the maps.
 _BLOCK_ROWS = 64
 # Extrema engine: degree of the polynomial envelope, and the fewest full
 # fringes a row must resolve for the envelope fit to leave them intact.
@@ -116,72 +118,14 @@ _ENVELOPE_DEGREE = 4
 _MIN_FRINGES = 8
 
 
-def _project(rows, envelope, phase):
-    """Linear stage: (A, tau, phase) per row from least squares on
-    {E, E cos phi, E sin phi}; NaN where A is not positive."""
-    design = np.stack((envelope, envelope * np.cos(phase),
-                       envelope * np.sin(phase)), axis=-1)
+def _project(rows, design):
+    """Least squares of each row on its (angles x 3) design matrix: the
+    coefficients (3 x rows), Gram matrices and residual sums of squares."""
     design_t = design.transpose(0, 2, 1)
-    a0, ac, as_ = np.linalg.solve(design_t @ design,
-                                  design_t @ rows[..., None])[..., 0].T
-    amp = np.where(a0 > 0, a0, math.nan)
-    params = np.column_stack((amp, np.hypot(ac, as_) / amp,
-                              np.arctan2(-as_, ac)))
-    params[np.isnan(amp)] = math.nan
-    return params
-
-
-def _residual(params, rows, envelope, phase, steepening):
-    """A E (1 + tau cos(phi + dphi m)) - row, and its Jacobian."""
-    amp, tau, dphi = params[:, 0:1], params[:, 1:2], params[:, 2:3]
-    arg = phase + dphi * steepening
-    cos, sin = np.cos(arg), np.sin(arg)
-    jac = np.stack((envelope * (1.0 + tau * cos), amp * envelope * cos,
-                    -amp * tau * steepening * envelope * sin), axis=-1)
-    return amp * envelope * (1.0 + tau * cos) - rows, jac
-
-
-def _polish(params, rows, envelope, phase, steepening):
-    """Damped Gauss-Newton from the linear stage, one damping factor and
-    stopping rule per row.  Returns the parameters and the standard
-    errors of (tau, phase) from J^T J at the optimum, scaled by
-    cost / dof."""
-    params = params.copy()
-    scales = np.ones_like(params)
-    scales[:, 0] = np.maximum(params[:, 0], 1e-12)
-    resid, jac = _residual(params, rows, envelope, phase, steepening)
-    cost = np.einsum("rm,rm->r", resid, resid)
-    damping = np.full(len(params), _DAMPING0)
-    live = np.arange(len(params))
-    for _ in range(_MAX_TRIALS):
-        if live.size == 0:
-            break
-        jac_t = jac[live].transpose(0, 2, 1)
-        hess = jac_t @ jac_t.transpose(0, 2, 1)
-        diag = np.maximum(np.diagonal(hess, axis1=1, axis2=2), 1e-300)
-        hess += damping[live, None, None] * diag[:, :, None] * np.eye(3)
-        step = np.linalg.solve(hess, -jac_t @ resid[live, :, None])[..., 0]
-        trial = params[live] + step
-        resid_try, jac_try = _residual(trial, rows[live], envelope[live],
-                                       phase[live], steepening[live])
-        cost_try = np.einsum("rm,rm->r", resid_try, resid_try)
-        ok = cost_try <= cost[live]
-        done = ok & (np.all(np.abs(step) <= _XTOL * scales[live], axis=1)
-                     | (cost[live] - cost_try
-                        <= _FTOL * np.maximum(cost_try, 1e-300)))
-        took = live[ok]
-        params[took], cost[took] = trial[ok], cost_try[ok]
-        resid[took], jac[took] = resid_try[ok], jac_try[ok]
-        damping[live] = np.where(ok, np.maximum(damping[live] / 10.0, 1e-12),
-                                 damping[live] * 10.0)
-        live = live[~done & (damping[live] <= 1e12)]
-
-    dof = rows.shape[1] - params.shape[1]
-    s2 = cost / dof if dof > 0 else np.full_like(cost, math.nan)
-    # no cutoff: a barely determined direction gets a huge variance, not 0
-    cov = np.linalg.pinv(jac.transpose(0, 2, 1) @ jac, rcond=0.0)
-    var = np.diagonal(cov, axis1=1, axis2=2)[:, 1:] * s2[:, None]
-    return params, np.sqrt(np.maximum(var, 0.0))
+    gram = design_t @ design
+    coef = np.linalg.solve(gram, design_t @ rows[..., None])
+    resid = rows - (design @ coef)[..., 0]
+    return coef[..., 0].T, gram, np.einsum("rm,rm->r", resid, resid)
 
 
 def fit_rows_model(rows, envelope, phase, steepening=None, *,
@@ -191,28 +135,44 @@ def fit_rows_model(rows, envelope, phase, steepening=None, *,
     Every argument is an (n_rows, n_angle) array or a single row.
     `phase` and `envelope` come from the forward model of the empty
     interferometer; `steepening` is the off-axis phase-shift multiplier
-    (1 on axis), used only by the polish stage.  Without `polish` the
-    linear projection is returned and the sigmas are NaN.  A row whose
-    projected amplitude is not positive is no fringe row: every field
-    of it is NaN, and the other rows are fitted as usual.
+    m (1 on axis).  Without `polish` the result is pass 0, the linear
+    stage, with NaN sigmas; with it, Gauss-Newton passes by re-projection
+    (see the module docstring) run to the optimum, and the sigmas come
+    from the last pass's design matrix, scaled by residual / dof.
+    A row whose projected amplitude is not positive is no fringe row:
+    every field of it is NaN, and the other rows are fitted as usual.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    envelope = np.broadcast_to(envelope, rows.shape)
-    phase = np.broadcast_to(phase, rows.shape)
-    steepening = np.broadcast_to(1.0 if steepening is None else steepening,
-                                 rows.shape)
-    params = np.empty((rows.shape[0], 3))
-    sigma = np.full((rows.shape[0], 2), math.nan)
+    envelope, phase, steepening = (np.broadcast_to(a, rows.shape) for a in (
+        envelope, phase, 1.0 if steepening is None else steepening))
+    params = np.empty((3, rows.shape[0]))
+    sigma = np.full((2, rows.shape[0]), math.nan)
+    dof = rows.shape[1] - 3
     for start in range(0, rows.shape[0], _BLOCK_ROWS):
         blk = slice(start, start + _BLOCK_ROWS)
-        p = _project(rows[blk], envelope[blk], phase[blk])
-        good = ~np.isnan(p[:, 0])
-        if polish and good.any():
-            p[good], sigma[blk][good] = _polish(
-                p[good], rows[blk][good], envelope[blk][good],
-                phase[blk][good], steepening[blk][good])
-        params[blk] = p
-    return RowEstimate(*params.T, *sigma.T)
+        env, phi, m = envelope[blk], phase[blk], steepening[blk]
+        delta, lit, sine_env = np.zeros(env.shape[0]), True, env
+        for k in range(_MAX_PASSES + 1 if polish else 1):
+            theta = phi + delta[:, None] * m
+            (a0, ac, as_), gram, rss = _project(rows[blk], np.stack(
+                (env, env * np.cos(theta), sine_env * np.sin(theta)), -1))
+            step = np.arctan2(-as_, ac)
+            delta, lit = delta + step, lit & (a0 > 0)
+            if k > 0 and np.all(np.abs(step[lit]) <= _PHASE_TOL):
+                break
+            sine_env = env * m   # pass 0 leaves the steepening out
+        amp = np.where(lit, a0, math.nan)
+        tau = np.hypot(ac, as_) / amp
+        params[:, blk] = amp, tau, np.where(lit, delta, math.nan)
+        if polish and dof > 0:
+            # J = D T, T = [[1, 0, 0], [tau, A, 0], [0, 0, -A tau]]; no
+            # cutoff: a barely determined direction gets a huge variance
+            cov = np.linalg.pinv(gram, rcond=0.0)
+            var = np.stack(((tau * tau * cov[:, 0, 0] - 2.0 * tau
+                             * cov[:, 0, 1] + cov[:, 1, 1]) / amp**2,
+                            cov[:, 2, 2] / (amp * tau) ** 2))
+            sigma[:, blk] = np.sqrt(np.maximum(var * rss / dof, 0.0))
+    return RowEstimate(*params, *sigma)
 
 
 def _extrema(y):

@@ -349,8 +349,8 @@ def test_info_rejects_nan_axis_value(tmp_path, capsys):
     assert "wavelength" in capsys.readouterr().err
 
 
-# numeric keys of the demo config a user may mistype, by section
-_FUZZ_KEYS = {
+# numeric keys of the demo config a user may mistype, as (section, key)
+_FUZZ_KEYS = tuple((section, key) for section, keys in {
     "crystal": ("cut_angle_deg",),
     "pump": ("wavelength_nm", "axis_angle_deg"),
     "geometry": ("crystal_length_mm", "gap_length_mm", "aperture_mm"),
@@ -361,7 +361,7 @@ _FUZZ_KEYS = {
     "signal_axis": ("min_nm", "max_nm"),
     "angle_axis": ("pixel_pitch_um", "focal_length_mm"),
     "noise": ("sigma_rel",),
-}
+}.items() for key in keys)
 _FUZZ_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, 1.0, math.nan, math.inf, -math.inf,
                      5e-324, 1e-300, 1e300, 1.7e308]),
@@ -380,18 +380,19 @@ def small_demo_config():
     return cp
 
 
-@settings(max_examples=50, deadline=None,
+@settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_config_value_fuzz_exits_with_a_code(small_demo_config, tmp_path,
                                              capsys, data):
     cp = configparser.ConfigParser()
     cp.read_dict(small_demo_config)
-    for section, keys in _FUZZ_KEYS.items():
-        for key in data.draw(st.lists(st.sampled_from(keys), unique=True,
-                                      max_size=3), label=section):
-            cp[section][key] = repr(data.draw(_FUZZ_VALUES,
-                                              label=f"{section}.{key}"))
+    # one or two keys, so that no earlier bad key hides a later one
+    for section, key in data.draw(st.lists(st.sampled_from(_FUZZ_KEYS),
+                                           min_size=1, max_size=2,
+                                           unique=True), label="keys"):
+        cp[section][key] = repr(data.draw(_FUZZ_VALUES,
+                                          label=f"{section}.{key}"))
     cfg = tmp_path / "fuzz.cfg"
     with open(cfg, "w", encoding="utf-8") as fh:
         cp.write(fh)
@@ -505,6 +506,30 @@ def test_retrieve_full_demo_nan_only_on_dark_rows(demo_dir, tmp_path, noise):
                       - truth.idler_absorption_at(lam_i)).max() <= 1e-8
         assert np.abs(n_vis + res.index_offset
                       - truth.idler_index_at(lam_i)).max() <= 1e-11
+
+
+def test_retrieve_full_demo_no_polish(demo_dir, tmp_path, capsys):
+    # the linear stage alone: off-axis steepening biases it slightly,
+    # and it reports no sigmas
+    out = tmp_path / "linear.csv"
+    assert main(["retrieve", str(demo_dir / "s0.nlm"),
+                 str(demo_dir / "r0.nlm"), DEMO_CFG, "-o", str(out),
+                 "--no-polish"]) == 0
+    summary = capsys.readouterr().out
+    assert re.search(r"retrieved 512 rows to .* \(peak absorption \S+ "
+                     r"\+/- nan cm\^-1 at row \d+\)", summary), summary
+    res = load_result_csv(out)
+    assert res.meta["polish"] is False
+    assert np.isnan(res.alpha_sigma_cm).all()
+    assert np.isnan(res.index_offset_sigma).all()
+    cfg = load_run_config(DEMO_CFG)
+    truth = build_gas(cfg)
+    n_vis = gas_index(cfg.visible, cfg.pressure_torr, cfg.temperature_k)
+    lam_i = res.idler_wavelength_nm
+    assert np.abs(res.alpha_cm
+                  - truth.idler_absorption_at(lam_i)).max() <= 5e-5
+    assert np.abs(n_vis + res.index_offset
+                  - truth.idler_index_at(lam_i)).max() <= 5e-8
 
 
 def test_retrieve_full_demo_extrema_engine(demo_dir, tmp_path):

@@ -114,6 +114,46 @@ def test_fit_rows_model_agrees_with_scipy_lm():
             np.sqrt(np.diag(cov))[1:], rtol=1e-3)
 
 
+def test_fit_rows_model_pure_noise_row_stops_within_the_pass_cap(
+        monkeypatch):
+    from nlispec import retrieval
+    calls, project = [], retrieval._project
+    monkeypatch.setattr(retrieval, "_project",
+                        lambda *args: calls.append(1) or project(*args))
+    _, envelope, phase = _synthetic_row(1.0, 0.0, 0.0)
+    row = np.random.default_rng(0).normal(0.0, 1.0, envelope.size)
+    theta = np.linspace(-1.0, 1.0, row.size)
+    steepening = 1.0 / np.sqrt(1.0 - (0.4 * theta) ** 2)
+    linear = fit_rows_model(row, envelope, phase, steepening, polish=False)
+    assert len(calls) == 1  # without polish: one projection, no sigmas
+    assert linear.amplitude[0] > 0
+    assert np.isnan([linear.sigma_contrast[0], linear.sigma_phase[0]]).all()
+    calls.clear()
+    est = fit_rows_model(row, envelope, phase, steepening)
+    assert 2 <= len(calls) <= retrieval._MAX_PASSES + 1
+    for name in ("amplitude", "contrast", "phase_rad", "sigma_contrast",
+                 "sigma_phase"):
+        assert np.isfinite(getattr(est, name)[0]), name
+
+
+@pytest.mark.parametrize("dphi", [math.pi + 5e-3, -math.pi - 5e-3])
+def test_fit_rows_model_steps_through_the_branch_cut(dphi):
+    # the passes add atan2 steps without wrapping the phase, so a fit
+    # whose linear stage lands inside (-pi, pi] can end beyond it; a
+    # steepening below 1 puts the linear stage on the near side of the cut
+    theta = np.linspace(-1.0, 1.0, 257)
+    phase = 12.0 * theta**2 + 0.3
+    envelope = np.sinc(0.3 * theta) ** 2
+    steepening = np.sqrt(1.0 - (0.2 * theta) ** 2)
+    row = 2.0 * envelope * (1.0 + 0.5 * np.cos(phase + dphi * steepening))
+    start = fit_rows_model(row, envelope, phase, steepening, polish=False)
+    assert abs(start.phase_rad[0]) < math.pi < abs(dphi)
+    est = fit_rows_model(row, envelope, phase, steepening)
+    assert est.phase_rad[0] == pytest.approx(dphi, abs=1e-9)
+    assert est.contrast[0] == pytest.approx(0.5, rel=1e-9)
+    assert est.amplitude[0] == pytest.approx(2.0, rel=1e-9)
+
+
 def test_refine_extrema_quadratic_interpolation():
     # samples of a parabola peaking between grid points
     x = np.arange(7, dtype=float)
