@@ -193,14 +193,12 @@ def faddeeva(z):
     """
     z = np.asarray(z, dtype=complex)
     near = _is_near(z.real, z.imag).ravel()
-    n_far = z.size - int(np.count_nonzero(near))
-    work = np.empty((4, z.size), dtype=complex)
-    if n_far in (0, z.size):   # one branch: no reordering needed
-        return _faddeeva_into(z.ravel().copy(), n_far, z.size,
-                              work).reshape(z.shape)
     order = np.argsort(near, kind="stable")   # far points first
+    n_far = z.size - int(np.count_nonzero(near))
+    w = _faddeeva_into(z.ravel()[order], n_far, z.size,
+                       np.empty((4, z.size), dtype=complex))
     out = np.empty(z.size, dtype=complex)
-    out[order] = _faddeeva_into(z.ravel()[order], n_far, z.size, work)
+    out[order] = w
     return out.reshape(z.shape)
 
 

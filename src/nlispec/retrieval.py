@@ -138,32 +138,47 @@ def fit_rows_model(rows, envelope, phase, steepening=None, *,
     m (1 on axis).  Without `polish` the result is pass 0, the linear
     stage, with NaN sigmas; with it, Gauss-Newton passes by re-projection
     (see the module docstring) run to the optimum, and the sigmas come
-    from the last pass's design matrix, scaled by residual / dof.
+    from the last pass's design matrix, scaled by residual / dof.  A row
+    whose phase still moves by more than _PHASE_TOL after _MAX_PASSES
+    passes (a row of noise, say) keeps the linear stage and NaN sigmas.
     A row whose projected amplitude is not positive is no fringe row:
     every field of it is NaN, and the other rows are fitted as usual.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    envelope, phase, steepening = (np.broadcast_to(a, rows.shape) for a in (
-        envelope, phase, 1.0 if steepening is None else steepening))
+    envelope = np.broadcast_to(envelope, rows.shape)
+    phase = np.broadcast_to(phase, rows.shape)
+    steepening = np.broadcast_to(1.0 if steepening is None else steepening,
+                                 rows.shape)
     params = np.empty((3, rows.shape[0]))
     sigma = np.full((2, rows.shape[0]), math.nan)
     dof = rows.shape[1] - 3
     for start in range(0, rows.shape[0], _BLOCK_ROWS):
         blk = slice(start, start + _BLOCK_ROWS)
         env, phi, m = envelope[blk], phase[blk], steepening[blk]
-        delta, lit, sine_env = np.zeros(env.shape[0]), True, env
+        delta = np.zeros(env.shape[0])
+        lit = np.ones(env.shape[0], dtype=bool)
+        settled = np.zeros(env.shape[0], dtype=bool)
+        sine_env = env   # pass 0 leaves the steepening out
         for k in range(_MAX_PASSES + 1 if polish else 1):
             theta = phi + delta[:, None] * m
             (a0, ac, as_), gram, rss = _project(rows[blk], np.stack(
                 (env, env * np.cos(theta), sine_env * np.sin(theta)), -1))
             step = np.arctan2(-as_, ac)
-            delta, lit = delta + step, lit & (a0 > 0)
-            if k > 0 and np.all(np.abs(step[lit]) <= _PHASE_TOL):
-                break
-            sine_env = env * m   # pass 0 leaves the steepening out
-        amp = np.where(lit, a0, math.nan)
-        tau = np.hypot(ac, as_) / amp
-        params[:, blk] = amp, tau, np.where(lit, delta, math.nan)
+            delta = delta + step
+            lit &= a0 > 0
+            if k == 0:
+                linear = np.stack((a0, np.hypot(ac, as_), delta))
+                sine_env = env * m
+            else:
+                settled = np.abs(step) <= _PHASE_TOL
+                if np.all(settled[lit]):
+                    break
+        # a row the passes did not settle keeps the linear stage
+        fit = np.where(settled, np.stack((a0, np.hypot(ac, as_), delta)),
+                       linear)
+        fit[:, ~lit] = math.nan
+        amp, tau = fit[0], fit[1] / fit[0]
+        params[:, blk] = amp, tau, fit[2]
         if polish and dof > 0:
             # J = D T, T = [[1, 0, 0], [tau, A, 0], [0, 0, -A tau]]; no
             # cutoff: a barely determined direction gets a huge variance
@@ -171,7 +186,8 @@ def fit_rows_model(rows, envelope, phase, steepening=None, *,
             var = np.stack(((tau * tau * cov[:, 0, 0] - 2.0 * tau
                              * cov[:, 0, 1] + cov[:, 1, 1]) / amp**2,
                             cov[:, 2, 2] / (amp * tau) ** 2))
-            sigma[:, blk] = np.sqrt(np.maximum(var * rss / dof, 0.0))
+            sigma[:, blk] = np.where(settled, np.sqrt(
+                np.maximum(var * rss / dof, 0.0)), math.nan)
     return RowEstimate(*params, *sigma)
 
 

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from nlispec.errors import LineParseError
 from nlispec.lineshape import (
     SpectralLine,
-    _faddeeva_into,
-    _is_near,
     _line_windows,
     absorption_coefficient,
     doppler_hwhm,
@@ -170,17 +168,6 @@ def test_faddeeva_shape_and_branches(z):
     peak = wofz(1j * np.imag(z)).real
     assert np.all(np.abs(got - want) <= 1e-13 * peak)
     np.testing.assert_array_equal(z, before)  # the input is left alone
-    # a one-branch input skips the far-first sort; either way the result
-    # is, to the bit, the kernel's on the far points then the near ones
-    flat = np.ravel(z).astype(complex)
-    near = _is_near(flat.real, flat.imag)
-    order = np.argsort(near, kind="stable")
-    sorted_w = np.empty_like(flat)
-    sorted_w[order] = _faddeeva_into(
-        flat[order], flat.size - int(np.count_nonzero(near)), flat.size,
-        np.empty((4, flat.size), dtype=complex))
-    np.testing.assert_array_equal(np.ravel(got).view(np.int64),
-                                  sorted_w.view(np.int64))
 
 
 def test_voigt_rejects_bad_widths():
