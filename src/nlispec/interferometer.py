@@ -145,15 +145,22 @@ def _kz(k, q):
     return np.sqrt(k2)
 
 
-def _phases(length_cm, q_cm, k_p, k_s, k_i):
-    # pump is collinear: no transverse component
-    return (k_p - _kz(k_s, q_cm) - _kz(k_i, q_cm)) * length_cm
+def _mismatch(geom: InterferometerGeometry, length_cm, n_pump, n_signal,
+              n_idler, lambda_s_nm, theta_rad) -> np.ndarray:
+    """(k_pz - k_sz - k_iz) * length [rad], shape (n_wavelength, n_angle).
 
-
-def _transverse_q(lambda_s_nm, theta_rad):
-    lam = np.atleast_1d(np.asarray(lambda_s_nm, dtype=float))[:, None]
+    The pump is collinear at index `n_pump`; signal and idler share the
+    transverse q = (2 pi / lambda_s) sin(theta) at `n_signal` and
+    `n_idler` (scalars or one value per signal wavelength).
+    """
+    lam_s = np.atleast_1d(np.asarray(lambda_s_nm, dtype=float))
+    lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lam_s)
+    k_p = wavevector(n_pump, geom.pump_wavelength_nm / NM_PER_CM)
+    k_s = np.atleast_1d(wavevector(n_signal, lam_s / NM_PER_CM))[:, None]
+    k_i = np.atleast_1d(wavevector(n_idler, lam_i / NM_PER_CM))[:, None]
     th = np.atleast_1d(np.asarray(theta_rad, dtype=float))[None, :]
-    return 2.0 * math.pi / (lam / NM_PER_CM) * np.sin(th)
+    q = 2.0 * math.pi / (lam_s[:, None] / NM_PER_CM) * np.sin(th)
+    return (k_p - _kz(k_s, q) - _kz(k_i, q)) * length_cm
 
 
 def crystal_phase_mismatch(geom: InterferometerGeometry, lambda_s_nm,
@@ -161,27 +168,9 @@ def crystal_phase_mismatch(geom: InterferometerGeometry, lambda_s_nm,
     """delta [rad] inside one crystal, shape (n_wavelength, n_angle)."""
     lam_s = np.atleast_1d(np.asarray(lambda_s_nm, dtype=float))
     lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lam_s)
-    n_p = geom.pump_index()
-    n_s = geom.crystal.n_ordinary(lam_s * 1e-3)
-    n_i = geom.crystal.n_ordinary(lam_i * 1e-3)
-    k_p = wavevector(n_p, geom.pump_wavelength_nm / NM_PER_CM)
-    k_s = np.atleast_1d(wavevector(n_s, lam_s / NM_PER_CM))[:, None]
-    k_i = np.atleast_1d(wavevector(n_i, lam_i / NM_PER_CM))[:, None]
-    q = _transverse_q(lam_s, theta_rad)
-    return _phases(geom.crystal_length_cm, q, k_p, k_s, k_i)
-
-
-def _gap_phase(geom: InterferometerGeometry, n_visible, n_idler,
-               lambda_s_nm, theta_rad) -> np.ndarray:
-    """delta_m for pump and signal at `n_visible`, the idler at `n_idler`
-    (scalar or one value per signal wavelength)."""
-    lam_s = np.atleast_1d(np.asarray(lambda_s_nm, dtype=float))
-    lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lam_s)
-    k_p = wavevector(n_visible, geom.pump_wavelength_nm / NM_PER_CM)
-    k_s = np.atleast_1d(wavevector(n_visible, lam_s / NM_PER_CM))[:, None]
-    k_i = np.atleast_1d(wavevector(n_idler, lam_i / NM_PER_CM))[:, None]
-    q = _transverse_q(lam_s, theta_rad)
-    return _phases(geom.gap_length_cm, q, k_p, k_s, k_i)
+    return _mismatch(geom, geom.crystal_length_cm, geom.pump_index(),
+                     geom.crystal.n_ordinary(lam_s * 1e-3),
+                     geom.crystal.n_ordinary(lam_i * 1e-3), lam_s, theta_rad)
 
 
 def gap_phase(geom: InterferometerGeometry, gas: GasState, lambda_s_nm,
@@ -189,8 +178,9 @@ def gap_phase(geom: InterferometerGeometry, gas: GasState, lambda_s_nm,
     """delta_m [rad] across the gas-filled gap, shape (n_wavelength, n_angle)."""
     lam_s = np.atleast_1d(np.asarray(lambda_s_nm, dtype=float))
     lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lam_s)
-    return _gap_phase(geom, gas.visible_index(), gas.idler_index_at(lam_i),
-                      lam_s, theta_rad)
+    n_vis = gas.visible_index()
+    return _mismatch(geom, geom.gap_length_cm, n_vis, n_vis,
+                     gas.idler_index_at(lam_i), lam_s, theta_rad)
 
 
 def gap_fringe_amplitude(geom: InterferometerGeometry, gas: GasState,

@@ -7,23 +7,22 @@ Units, fixed throughout this module:
   - absorption coefficient in cm^-1, number density in cm^-3
 
 The Voigt profile is the real part of the Faddeeva function
-w(z) = exp(-z^2) erfc(-iz), evaluated in numpy for Im z >= 0:
-Weideman's 32-term rational approximation for |z| < 50 (J. A. C.
-Weideman, SIAM J. Numer. Anal. 31, 1497, 1994) and the asymptotic
-series i/(sqrt(pi) z) sum_k (2k-1)!!/(2z^2)^k, k <= 4, beyond.  The
-error is about 4e-14 of the profile peak, absolute; the pure-Gaussian
-limit (zero Lorentz width) is evaluated exactly as exp(-x^2).  Relative
-error is therefore large only far out in a nearly Gaussian tail, where
-exp(-x^2) is below ~1e-14 of the peak.
+w(z) = exp(-z^2) erfc(-iz) at z = x + iy, y >= 0, evaluated in numpy:
+Weideman's 32-term rational approximation for the near points (J. A. C.
+Weideman, SIAM J. Numer. Anal. 31, 1497, 1994), |x| < sqrt(50^2 - y^2),
+and the asymptotic series i/(sqrt(pi) z) sum_k (2k-1)!!/(2z^2)^k,
+k <= 4, beyond.  The error is about 4e-14 of the profile peak,
+absolute; the pure-Gaussian limit (zero Lorentz width) is evaluated
+exactly as exp(-x^2).  Relative error is therefore large only far out
+in a nearly Gaussian tail, where exp(-x^2) is below ~1e-14 of the peak.
 
-One kernel, `_faddeeva_into`, does that arithmetic for `faddeeva`,
-`voigt_profile` and the line loop of `absorption_coefficient`, one
-`out=` ufunc per operation and no product written over one of its
-factors, so all three give the same bits however the points are split
-into calls.  Its near points (x^2 + y^2 < 50^2 for z = x + iy) are one
-slice of its input and the far points the rest: `faddeeva` puts them
-there by a stable sort on the test, and a line window needs none,
-because its x is sorted and y is fixed per line.
+One routine, `_voigt_into`, evaluates the profile for both
+`voigt_profile` and the line loop of `absorption_coefficient`, in place
+on sorted detunings, one `out=` ufunc per operation and no product
+written over one of its factors, so both give the same bits however the
+points are split into calls.  On sorted x at fixed y the near points
+are one run, found by two `searchsorted` calls: `voigt_profile` sorts
+its input, and a line window is sorted already.
 `absorption_coefficient` sizes its work arrays once per call, to the
 widest line window, and reuses them for every line, so the loop
 allocates nothing per line.
@@ -47,7 +46,6 @@ Fortran-style 'D' exponents are accepted anywhere a float is expected.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -138,68 +136,45 @@ def _weideman(z, w, r, t, u):
     np.add(q, t, out=w)
 
 
-def _faddeeva_into(z, i: int, j: int, work):
-    """w(z) for a 1-d complex `z` whose near points are z[i:j].
+def _voigt_into(x, gamma_doppler_cm: float, gamma_lorentz_cm: float,
+               work) -> None:
+    """Overwrite the non-decreasing 1-d detunings `x` [cm^-1] with the
+    unit-area Voigt profile [cm].
 
-    Every point outside that slice must be far (not `_is_near`).  Each
-    branch runs only on a non-empty part.  `work` is four complex arrays
-    at least as long as `z`; the result is the first, `z` and the rest
-    are overwritten.
+    With x' the detuning and y the Lorentz width, both in units of
+    sigma sqrt(2), z = x' + iy goes into the first of the five complex
+    arrays of `work`, each at least as long as `x`; all five are
+    overwritten.  The near points -r < x' < r, r = sqrt(50^2 - y^2), are
+    one run [i, j) of the sorted x' (NaN, sorted last, is far).  Each
+    branch runs only on a non-empty part, and with no near point one
+    far-series call covers all of `x`.
     """
-    n = z.size
-    w, r, t, u = work[:, :n]
-    if i > 0:
-        _far_series(z[:i], w[:i], r[:i], t[:i], u[:i])
-    if j < n:
-        _far_series(z[j:], w[j:], r[j:], t[j:], u[j:])
-    if i < j:
-        _weideman(z[i:j], w[i:j], r[i:j], t[i:j], u[i:j])
-    return w
-
-
-def _is_near(x, y):
-    """Whether x + iy lies inside the Weideman region, x^2 + y^2 < 50^2.
-
-    NaN counts as far.  The test is monotone in |x| at fixed y, so on a
-    non-decreasing x the near points form one contiguous run.
-    """
-    return x * x + y * y < _W_FAR * _W_FAR
-
-
-def _near_slice(x, y: float) -> tuple[int, int]:
-    """Bounds [i, j) of the near points of a non-decreasing real `x` at y.
-
-    The run flanks m, the first point with x >= 0: `_is_near` rises to
-    True before m and falls to False from m on, so each edge is one
-    bisection.  With neither neighbour of m near the run is empty,
-    returned as (0, 0) so that one far-series call covers all of `x`.
-    """
-    m = int(np.searchsorted(x, 0.0))
-    if not any(_is_near(float(x[k]), y) for k in (m - 1, m)
-               if 0 <= k < x.size):
-        return 0, 0
-    return (bisect.bisect_left(range(m), True,
-                               key=lambda k: _is_near(float(x[k]), y)),
-            bisect.bisect_left(range(m, x.size), True,
-                               key=lambda k: not _is_near(float(x[k]), y))
-            + m)
-
-
-def faddeeva(z):
-    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 0.
-
-    Weideman's 32-term rational approximation for |z| < 50, the
-    asymptotic series to (2z^2)^-4 beyond; absolute error ~4e-14.
-    """
-    z = np.asarray(z, dtype=complex)
-    near = _is_near(z.real, z.imag).ravel()
-    order = np.argsort(near, kind="stable")   # far points first
-    n_far = z.size - int(np.count_nonzero(near))
-    w = _faddeeva_into(z.ravel()[order], n_far, z.size,
-                       np.empty((4, z.size), dtype=complex))
-    out = np.empty(z.size, dtype=complex)
-    out[order] = w
-    return out.reshape(z.shape)
+    sigma = gamma_doppler_cm / _SQRT_2LN2
+    np.divide(x, sigma * math.sqrt(2.0), out=x)
+    if gamma_lorentz_cm == 0.0:
+        re_w = x
+        np.multiply(x, x, out=x)
+        np.negative(x, out=x)
+        np.exp(x, out=x)
+    else:
+        n = x.size
+        y = gamma_lorentz_cm / (sigma * math.sqrt(2.0))
+        z, w, r, t, u = work[:, :n]
+        z.real = x
+        z.imag = y
+        reach = math.sqrt(max(_W_FAR * _W_FAR - y * y, 0.0))
+        i = int(np.searchsorted(x, -reach, side="right"))
+        j = int(np.searchsorted(x, reach, side="left"))
+        if i >= j:
+            i = j = 0
+        if i > 0:
+            _far_series(z[:i], w[:i], r[:i], t[:i], u[:i])
+        if j < n:
+            _far_series(z[j:], w[j:], r[j:], t[j:], u[j:])
+        if i < j:
+            _weideman(z[i:j], w[i:j], r[i:j], t[i:j], u[i:j])
+        re_w = w.real
+    np.divide(re_w, sigma * math.sqrt(2.0 * math.pi), out=x)
 
 
 @dataclass(frozen=True)
@@ -268,14 +243,13 @@ def voigt_profile(delta_nu_cm, gamma_doppler_cm: float, gamma_lorentz_cm: float)
     if gamma_lorentz_cm < 0:
         raise ValueError(f"negative Lorentz width {gamma_lorentz_cm}")
     delta = np.asarray(delta_nu_cm, dtype=float)
-    sigma = gamma_doppler_cm / _SQRT_2LN2
-    x = delta / (sigma * math.sqrt(2.0))
-    if gamma_lorentz_cm == 0.0:
-        re_w = np.exp(-x * x)
-    else:
-        re_w = faddeeva(x + 1j * gamma_lorentz_cm
-                        / (sigma * math.sqrt(2.0))).real
-    phi = re_w / (sigma * math.sqrt(2.0 * math.pi))
+    order = np.argsort(delta, axis=None, kind="stable")
+    x = delta.ravel()[order]
+    _voigt_into(x, gamma_doppler_cm, gamma_lorentz_cm,
+                np.empty((5, x.size), dtype=complex))
+    phi = np.empty(x.size)
+    phi[order] = x
+    phi = phi.reshape(delta.shape)
     return float(phi) if np.isscalar(delta_nu_cm) else phi
 
 
@@ -327,32 +301,16 @@ def absorption_coefficient(lines, nu_grid_cm, p_torr: float, t_k: float,
                           wing_cutoff_cm)
     width = int(np.max(hi - lo, initial=0))
     buf = np.empty(width)
-    z = np.empty(width, dtype=complex)
-    work = np.empty((4, width), dtype=complex)
+    work = np.empty((5, width), dtype=complex)
     for line, a, b in zip(lines, lo, hi):
         if a >= b:
             continue
         g_d = doppler_hwhm(line.nu0_cm, t_k, molar_mass_g)
         g_l = lorentz_hwhm(line, p_torr, t_k, x_self)
         s = line_strength(line, t_k, partition_ratio)
-        # voigt_profile(nu[a:b] - nu0, g_d, g_l) in the same operation
-        # order, so the same bits, with every array a work-array view
-        sigma = g_d / _SQRT_2LN2
-        n = b - a
-        x = re_w = phi = buf[:n]
-        np.subtract(nu[a:b], line.nu0_cm, out=x)
-        np.divide(x, sigma * math.sqrt(2.0), out=x)
-        if g_l == 0.0:
-            np.multiply(x, x, out=re_w)
-            np.negative(re_w, out=re_w)
-            np.exp(re_w, out=re_w)
-        else:
-            y = g_l / (sigma * math.sqrt(2.0))
-            i, j = _near_slice(x, y)
-            z.real[:n] = x
-            z.imag[:n] = y
-            re_w = _faddeeva_into(z[:n], i, j, work).real
-        np.divide(re_w, sigma * math.sqrt(2.0 * math.pi), out=phi)
+        phi = buf[:b - a]
+        np.subtract(nu[a:b], line.nu0_cm, out=phi)
+        _voigt_into(phi, g_d, g_l, work)
         np.multiply(dens * s, phi, out=phi)
         alpha[a:b] += phi
     return alpha

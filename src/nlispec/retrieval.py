@@ -42,9 +42,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MapFormatError, NegativeAbsorptionError
+from .gas import nu_cm_from_lambda_nm
 from .interferometer import (
     InterferometerGeometry,
-    _gap_phase,
+    _mismatch,
     crystal_phase_mismatch,
     idler_wavelength_nm,
 )
@@ -289,8 +290,8 @@ def _model_pattern(geom: InterferometerGeometry, lambda_s_nm, theta_rad,
     purely the idler index offset from that baseline.
     """
     delta = crystal_phase_mismatch(geom, lambda_s_nm, theta_rad)
-    delta_m = _gap_phase(geom, visible_index, visible_index, lambda_s_nm,
-                         theta_rad)
+    delta_m = _mismatch(geom, geom.gap_length_cm, visible_index,
+                        visible_index, visible_index, lambda_s_nm, theta_rad)
     envelope = np.sinc(delta / (2.0 * math.pi)) ** 2
     lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lambda_s_nm)
     q_over_ki = np.sin(theta_rad)[None, :] * (lam_i / lambda_s_nm)[:, None]
@@ -357,7 +358,6 @@ def retrieve(sample: IntensityMap, reference: IntensityMap,
             "sample_visible_index": sample_visible_index,
             "reference_visible_index": 1.0,
             "sample_meta": sample.meta, "reference_meta": reference.meta}
-    from .gas import nu_cm_from_lambda_nm
     return RetrievalResult(
         wavelength_nm=lam_s, idler_wavelength_nm=lam_i,
         idler_nu_cm=nu_cm_from_lambda_nm(lam_i), visibility=vis,

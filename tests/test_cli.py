@@ -14,12 +14,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nlispec import data_path
 from nlispec.cli import main
-from nlispec.config import build_gas, build_geometry, load_run_config
+from nlispec.config import (build_axes, build_gas, build_geometry,
+                            build_vacuum, load_run_config)
 from nlispec.dispersion import gas_index
 from nlispec.errors import MapFormatError
-from nlispec.interferometer import MapAxes
+from nlispec.interferometer import MapAxes, simulate_map
 from nlispec.mapio import IntensityMap, load_map, save_map
-from nlispec.retrieval import _model_pattern, load_result_csv, save_result_csv
+from nlispec.retrieval import (_model_pattern, load_result_csv, retrieve,
+                               save_result_csv)
 
 CFG = """\
 [crystal]
@@ -506,6 +508,24 @@ def test_retrieve_full_demo_nan_only_on_dark_rows(demo_dir, tmp_path, noise):
                       - truth.idler_absorption_at(lam_i)).max() <= 1e-8
         assert np.abs(n_vis + res.index_offset
                       - truth.idler_index_at(lam_i)).max() <= 1e-11
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("p_torr", [300.0, 760.0])
+def test_full_demo_index_has_no_fringe_wrap_at_high_pressure(p_torr):
+    # a fitted phase that wraps past +-pi puts a row's index off by one
+    # fringe, lambda_i / L_m = 1.8e-4, yet the run exits 0
+    cfg = dataclasses.replace(load_run_config(DEMO_CFG), pressure_torr=p_torr)
+    geom, axes, gas = build_geometry(cfg), build_axes(cfg), build_gas(cfg)
+    sample = IntensityMap(axes, simulate_map(geom, gas, axes))
+    reference = IntensityMap(axes, simulate_map(geom, build_vacuum(cfg), axes))
+    n_vis = gas_index(cfg.visible, cfg.pressure_torr, cfg.temperature_k)
+    res = retrieve(sample, reference, geom, rows=range(0, axes.shape[0], 2),
+                   sample_visible_index=n_vis)
+    finite = np.isfinite(res.index_offset)
+    err = np.abs(n_vis + res.index_offset
+                 - gas.idler_index_at(res.idler_wavelength_nm))
+    assert finite.any() and err[finite].max() <= 1e-10
 
 
 def test_retrieve_full_demo_no_polish(demo_dir, tmp_path, capsys):
