@@ -39,6 +39,16 @@ from .errors import ValidityRangeError
 from .gas import GasState
 
 NM_PER_CM = 1.0e7
+# Wavelength rows that every map-sized stage (rendering, fitting, text
+# output) handles at once: each stage's temporaries are one block of
+# rows, not a whole map.
+_BLOCK_ROWS = 64
+
+
+def row_blocks(n_rows: int) -> list[slice]:
+    """Consecutive _BLOCK_ROWS-row slices covering `n_rows` rows."""
+    return [slice(start, start + _BLOCK_ROWS)
+            for start in range(0, n_rows, _BLOCK_ROWS)]
 
 
 def idler_wavelength_nm(pump_nm, signal_nm):
@@ -219,20 +229,24 @@ def check_beam_overlap(geom: InterferometerGeometry, axes: MapAxes) -> float:
 
 def simulate_map(geom: InterferometerGeometry, gas: GasState,
                  axes: MapAxes) -> np.ndarray:
-    """Angular-wavelength intensity map, shape (n_wavelength, n_angle).
+    """Angular-wavelength intensity map, shape (n_wavelength, n_angle),
+    rendered one block of rows at a time.
 
     Raises ValidityRangeError where the inputs, each in range, still
     drive the model out of floating-point range (a non-finite map).
     """
     check_beam_overlap(geom, axes)
-    delta = crystal_phase_mismatch(geom, axes.wavelength_nm, axes.angle_rad)
-    delta_m = gap_phase(geom, gas, axes.wavelength_nm, axes.angle_rad)
-    tau = gap_fringe_amplitude(geom, gas, axes.wavelength_nm)[:, None]
-    intensity = interference_intensity(delta, delta_m, tau)
-    if not np.all(np.isfinite(intensity)):
-        raise ValidityRangeError(
-            "simulated intensity is not finite: an input is outside the "
-            "model's numerical range")
+    lam, theta = axes.wavelength_nm, axes.angle_rad
+    intensity = np.empty(axes.shape)
+    for blk in row_blocks(lam.size):
+        delta = crystal_phase_mismatch(geom, lam[blk], theta)
+        delta_m = gap_phase(geom, gas, lam[blk], theta)
+        tau = gap_fringe_amplitude(geom, gas, lam[blk])[:, None]
+        intensity[blk] = interference_intensity(delta, delta_m, tau)
+        if not np.all(np.isfinite(intensity[blk])):
+            raise ValidityRangeError(
+                "simulated intensity is not finite: an input is outside "
+                "the model's numerical range")
     return intensity
 
 
@@ -242,9 +256,8 @@ def with_gaussian_noise(intensity, sigma: float, rng) -> np.ndarray:
         raise ValueError(f"negative noise level {sigma}")
     if sigma == 0:
         return np.array(intensity, dtype=float, copy=True)
-    noisy = np.asarray(intensity, dtype=float) + rng.normal(
-        0.0, sigma, size=np.shape(intensity)
-    )
+    noisy = rng.normal(0.0, sigma, size=np.shape(intensity))
+    noisy += np.asarray(intensity, dtype=float)
     if not np.all(np.isfinite(noisy)):
         raise ValidityRangeError(
             f"noise level {sigma:g} drives the map out of floating-point "

@@ -144,10 +144,12 @@ def _voigt_into(x, gamma_doppler_cm: float, gamma_lorentz_cm: float,
     With x' the detuning and y the Lorentz width, both in units of
     sigma sqrt(2), z = x' + iy goes into the first of the five complex
     arrays of `work`, each at least as long as `x`; all five are
-    overwritten.  The near points -r < x' < r, r = sqrt(50^2 - y^2), are
-    one run [i, j) of the sorted x' (NaN, sorted last, is far).  Each
-    branch runs only on a non-empty part, and with no near point one
-    far-series call covers all of `x`.
+    overwritten.  The sorted x' is a run of -inf, the finite run [a, b),
+    then +inf and NaN (sorted last).  The near points -r < x' < r,
+    r = sqrt(50^2 - y^2), are one run [i, j) of it and the rest of [a, b)
+    is far.  Each branch runs only on a non-empty part, and with no near
+    point one far-series call covers [a, b).  An infinite x' gets the
+    profile's limit 0 without a series, which would form inf / inf.
     """
     sigma = gamma_doppler_cm / _SQRT_2LN2
     np.divide(x, sigma * math.sqrt(2.0), out=x)
@@ -163,16 +165,20 @@ def _voigt_into(x, gamma_doppler_cm: float, gamma_lorentz_cm: float,
         z.real = x
         z.imag = y
         reach = math.sqrt(max(_W_FAR * _W_FAR - y * y, 0.0))
-        i = int(np.searchsorted(x, -reach, side="right"))
-        j = int(np.searchsorted(x, reach, side="left"))
+        a, i, c = np.searchsorted(x, (-math.inf, -reach, math.inf),
+                                  side="right")
+        j, b = np.searchsorted(x, (reach, math.inf), side="left")
         if i >= j:
-            i = j = 0
-        if i > 0:
-            _far_series(z[:i], w[:i], r[:i], t[:i], u[:i])
-        if j < n:
-            _far_series(z[j:], w[j:], r[j:], t[j:], u[j:])
+            i = j = a
+        if a < i:
+            _far_series(z[a:i], w[a:i], r[a:i], t[a:i], u[a:i])
+        if j < b:
+            _far_series(z[j:b], w[j:b], r[j:b], t[j:b], u[j:b])
         if i < j:
             _weideman(z[i:j], w[i:j], r[i:j], t[i:j], u[i:j])
+        w[:a] = 0.0
+        w[b:c] = 0.0
+        w[c:] = math.nan
         re_w = w.real
     np.divide(re_w, sigma * math.sqrt(2.0 * math.pi), out=x)
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AxisMismatchError, MapFormatError
-from .interferometer import MapAxes
+from .interferometer import MapAxes, row_blocks
 
 _MAGIC = b"NLIMAP1\n"
 _PGM_MAXVAL = 65535
@@ -69,12 +69,17 @@ def require_same_axes(a: IntensityMap, b: IntensityMap, what: str = "maps"):
         raise AxisMismatchError(f"{what} do not share wavelength/angle axes")
 
 
-def _atomic_write_bytes(path, payload: bytes):
+def _atomic_write_bytes(path, payload):
+    """Write `payload`, one bytes-like object or an iterable of them in
+    file order, to `path` atomically."""
+    if isinstance(payload, (bytes, bytearray, memoryview)):
+        payload = (payload,)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in payload:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -115,48 +120,62 @@ def _checked_map(source, axes, data, meta) -> IntensityMap:
 
 def _save_native(path, m: IntensityMap):
     header = json.dumps(_header_dict(m)).encode("utf-8")
-    payload = (_MAGIC + struct.pack("<Q", len(header)) + header
-               + m.intensity.astype("<f8").tobytes(order="C"))
-    _atomic_write_bytes(path, payload)
+    data = np.ascontiguousarray(m.intensity, dtype="<f8")  # a view if it can
+    _atomic_write_bytes(path, (_MAGIC + struct.pack("<Q", len(header))
+                               + header, memoryview(data)))
 
 
 def _load_native(path) -> IntensityMap:
+    # every length is checked against the file size before anything of
+    # that length is allocated, and the data is read straight into place
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(_MAGIC):
-        raise MapFormatError(f"{path}: bad magic; not a native map file")
-    off = len(_MAGIC)
-    if len(blob) < off + 8:
-        raise MapFormatError(f"{path}: truncated header length")
-    (hlen,) = struct.unpack_from("<Q", blob, off)
-    off += 8
-    if len(blob) < off + hlen:
-        raise MapFormatError(f"{path}: truncated header")
-    try:
-        head = json.loads(blob[off:off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MapFormatError(f"{path}: unreadable header: {exc}") from None
-    off += hlen
-    axes = _axes_from_header(head, path)
-    expected = axes.shape[0] * axes.shape[1] * 8
-    body = blob[off:]
-    if len(body) != expected:
-        raise MapFormatError(
-            f"{path}: expected {expected} data bytes, found {len(body)}"
-        )
-    data = np.frombuffer(body, dtype="<f8").reshape(axes.shape)
-    return _checked_map(path, axes, data.astype(float), head.get("meta", {}))
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            raise MapFormatError(f"{path}: bad magic; not a native map file")
+        raw = fh.read(8)
+        if len(raw) < 8:
+            raise MapFormatError(f"{path}: truncated header length")
+        (hlen,) = struct.unpack("<Q", raw)
+        off = len(_MAGIC) + 8
+        if size < off + hlen:
+            raise MapFormatError(f"{path}: truncated header")
+        try:
+            head = json.loads(fh.read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise MapFormatError(f"{path}: unreadable header: {exc}") \
+                from None
+        axes = _axes_from_header(head, path)
+        expected = axes.shape[0] * axes.shape[1] * 8
+        found = size - off - hlen
+        if found == expected:
+            data = np.empty(axes.shape, dtype="<f8")
+            found = fh.readinto(data)
+        if found != expected:
+            raise MapFormatError(
+                f"{path}: expected {expected} data bytes, found {found}"
+            )
+    return _checked_map(path, axes, data, head.get("meta", {}))
 
 
 # ---------------------------------------------------------------- text tables
 
 def write_text_table(path, magic: str, meta: dict, header, table) -> None:
-    """Write a 2-D `table` below its magic, meta and header lines."""
-    buf = io.StringIO()
+    """Write a 2-D `table` below its magic, meta and header lines, one
+    block of rows at a time."""
     meta_line = "# meta: " + json.dumps(meta, sort_keys=True)
-    np.savetxt(buf, table, fmt=_CELL, delimiter=",", comments="",
-               header="\n".join((magic, meta_line, ",".join(header))))
-    _atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
+
+    def chunks():
+        yield "\n".join((magic, meta_line, ",".join(header), "")).encode(
+            "utf-8")
+        for blk in row_blocks(len(table)):
+            # closed at once: savetxt's writer holds the buffer in a
+            # reference cycle that only the garbage collector would free
+            with io.StringIO() as buf:
+                np.savetxt(buf, table[blk], fmt=_CELL, delimiter=",")
+                chunk = buf.getvalue().encode("utf-8")
+            yield chunk
+
+    _atomic_write_bytes(path, chunks())
 
 
 def read_text_table(path):

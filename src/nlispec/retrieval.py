@@ -37,7 +37,7 @@ common mode: it divides out of V and subtracts out of dphi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .interferometer import (
     _mismatch,
     crystal_phase_mismatch,
     idler_wavelength_nm,
+    row_blocks,
 )
 from .mapio import (IntensityMap, read_text_table, require_same_axes,
                     write_text_table)
@@ -110,9 +111,6 @@ class RowEstimate:
 # moves by more than _PHASE_TOL rad, or after _MAX_PASSES of them.
 _PHASE_TOL = 1e-8
 _MAX_PASSES = 20
-# Rows fitted together.  Bounds the (rows x angles x 3) design matrix and
-# the per-block copies, which for a whole map would outgrow the maps.
-_BLOCK_ROWS = 64
 # Extrema engine: degree of the polynomial envelope, and the fewest full
 # fringes a row must resolve for the envelope fit to leave them intact.
 _ENVELOPE_DEGREE = 4
@@ -153,8 +151,8 @@ def fit_rows_model(rows, envelope, phase, steepening=None, *,
     params = np.empty((3, rows.shape[0]))
     sigma = np.full((2, rows.shape[0]), math.nan)
     dof = rows.shape[1] - 3
-    for start in range(0, rows.shape[0], _BLOCK_ROWS):
-        blk = slice(start, start + _BLOCK_ROWS)
+    # a block bounds the (rows x angles x 3) design matrix and the copies
+    for blk in row_blocks(rows.shape[0]):
         env, phi, m = envelope[blk], phase[blk], steepening[blk]
         delta = np.zeros(env.shape[0])
         lit = np.ones(env.shape[0], dtype=bool)
@@ -330,14 +328,21 @@ def retrieve(sample: IntensityMap, reference: IntensityMap,
     lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lam_s)
 
     if engine == "model":
-        phase_s, envelope, steepening = _model_pattern(
-            geom, lam_s, axes.angle_rad, sample_visible_index)
-        # the reference gap is evacuated: visible index 1
-        phase_r, _, _ = _model_pattern(geom, lam_s, axes.angle_rad)
-        est_s = fit_rows_model(sample.intensity[row_idx], envelope, phase_s,
-                               steepening, polish=polish)
-        est_r = fit_rows_model(reference.intensity[row_idx], envelope,
-                               phase_r, steepening, polish=polish)
+        # one block of rows at a time: the templates and row copies stay
+        # block-sized, and each block is one block of fit_rows_model
+        est = np.empty((2, len(fields(RowEstimate)), row_idx.size))
+        for blk in row_blocks(row_idx.size):
+            phase_s, envelope, steepening = _model_pattern(
+                geom, lam_s[blk], axes.angle_rad, sample_visible_index)
+            # the reference gap is evacuated: visible index 1
+            phase_r, _, _ = _model_pattern(geom, lam_s[blk], axes.angle_rad)
+            for out, m, phase in ((est[0], sample, phase_s),
+                                  (est[1], reference, phase_r)):
+                fit = fit_rows_model(m.intensity[row_idx[blk]], envelope,
+                                     phase, steepening, polish=polish)
+                out[:, blk] = [getattr(fit, f.name)
+                               for f in fields(RowEstimate)]
+        est_s, est_r = RowEstimate(*est[0]), RowEstimate(*est[1])
     else:
         est_s = fit_rows_extrema(sample.intensity[row_idx])
         est_r = fit_rows_extrema(reference.intensity[row_idx])

@@ -223,6 +223,13 @@ def test_noise_helper():
     assert same is not base
     with pytest.raises(ValueError):
         with_gaussian_noise(base, -0.1, rng)
+    # the draw is added into its own array: the same bits, input untouched
+    base = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    kept = base.copy()
+    noisy = with_gaussian_noise(base, 0.01, np.random.default_rng(4))
+    draw = np.random.default_rng(4).normal(0.0, 0.01, size=base.shape)
+    assert np.array_equal(noisy, base + draw)
+    assert np.array_equal(base, kept)
 
 
 # ------------------------------------------------------ phase matching

@@ -189,6 +189,20 @@ def test_voigt_profile_commutes_with_permutation(gl):
                           voigt_profile(x, 0.7, gl)[p])
 
 
+@pytest.mark.parametrize("gl", [0.0, 1e-4, 2e-3, 0.05, 1.0])
+def test_voigt_profile_is_zero_at_infinite_detuning(gl):
+    # 1.0 puts y past 50, where every finite point takes the far series
+    finite = np.array([-80.0, -0.02, 0.0, 1e-3, 0.5, 3e3])
+    x = np.concatenate([finite, [np.inf, -np.inf, np.nan, np.inf]])
+    p = np.random.default_rng(3).permutation(x.size)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        got = voigt_profile(x[p], 0.01, gl)[np.argsort(p)]
+        want = voigt_profile(finite, 0.01, gl)
+    assert np.array_equal(got[:finite.size], want)
+    assert np.array_equal(got[finite.size:], [0.0, 0.0, np.nan, 0.0],
+                          equal_nan=True)
+
+
 def test_voigt_rejects_bad_widths():
     with pytest.raises(ValueError):
         voigt_profile(0.0, 0.0, 1e-3)

@@ -1,12 +1,15 @@
+import io
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from nlispec.errors import AxisMismatchError, MapFormatError
 from nlispec.interferometer import MapAxes
-from nlispec.mapio import IntensityMap, load_map, require_same_axes, save_map
+from nlispec.mapio import (IntensityMap, load_map, require_same_axes,
+                           save_map, write_text_table)
 
 
 @pytest.fixture
@@ -118,6 +121,17 @@ def test_corrupt_native_variants(tmp_path, sample_map):
     short.write_bytes(blob[:10])
     with pytest.raises(MapFormatError):
         load_map(short)
+
+    # a header length past the end of the file is refused before a read
+    huge = tmp_path / "d.nlm"
+    huge.write_bytes(blob[:8] + struct.pack("<Q", 2 ** 62) + blob[16:])
+    with pytest.raises(MapFormatError, match="truncated header"):
+        load_map(huge)
+
+    long = tmp_path / "e.nlm"
+    long.write_bytes(blob + bytes(8))
+    with pytest.raises(MapFormatError, match="found 624"):
+        load_map(long)
 
 
 def test_corrupt_csv_variants(tmp_path, sample_map):
@@ -271,4 +285,28 @@ def test_no_partial_file_on_failed_save(tmp_path, sample_map, monkeypatch):
     monkeypatch.setattr(mapio, "_atomic_write_bytes", explode)
     with pytest.raises(OSError):
         save_map(tmp_path / "m.nlm", sample_map)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_text_table_in_row_blocks_matches_one_savetxt(tmp_path):
+    # 150 rows: two full 64-row blocks and a partial one
+    table = np.random.default_rng(5).normal(size=(150, 4))
+    table[3, 1], table[70, 2], table[149, 0] = math.nan, 1.0 / 3.0, 1e-300
+    write_text_table(tmp_path / "t.csv", "# magic", {"b": 1, "a": [2]},
+                     ("w", "x", "y", "z"), table)
+    whole = io.StringIO()
+    np.savetxt(whole, table, fmt="%.17g", delimiter=",", comments="",
+               header='# magic\n# meta: {"a": [2], "b": 1}\nw,x,y,z')
+    assert (tmp_path / "t.csv").read_bytes() == whole.getvalue().encode()
+
+
+def test_no_partial_file_when_a_chunk_fails(tmp_path):
+    import nlispec.mapio as mapio
+
+    def chunks():
+        yield b"first block\n"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        mapio._atomic_write_bytes(tmp_path / "t.csv", chunks())
     assert list(tmp_path.iterdir()) == []

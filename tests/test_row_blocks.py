@@ -1,0 +1,145 @@
+"""Map-sized stages run one block of rows at a time: the same bits as the
+whole-map computation, and a memory peak of a block, not of a map."""
+
+import math
+import tracemalloc
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from nlispec import data_path
+from nlispec.config import (build_axes, build_gas, build_geometry,
+                            build_vacuum, load_run_config)
+from nlispec.dispersion import gas_index
+from nlispec.interferometer import (
+    MapAxes,
+    crystal_phase_mismatch,
+    gap_fringe_amplitude,
+    gap_phase,
+    interference_intensity,
+    row_blocks,
+    simulate_map,
+    with_gaussian_noise,
+)
+from nlispec.mapio import IntensityMap, load_map, save_map
+from nlispec.retrieval import _model_pattern, fit_rows_model, retrieve
+
+MIB = 2 ** 20
+
+
+@pytest.fixture(scope="module")
+def demo():
+    cfg = load_run_config(data_path("co2_demo.cfg"))
+    return SimpleNamespace(
+        geom=build_geometry(cfg), axes=build_axes(cfg), gas=build_gas(cfg),
+        vacuum=build_vacuum(cfg),
+        n_vis=gas_index(cfg.visible, cfg.pressure_torr, cfg.temperature_k))
+
+
+@pytest.fixture(scope="module")
+def demo_maps(demo):
+    return (IntensityMap(demo.axes, simulate_map(demo.geom, demo.gas,
+                                                 demo.axes)),
+            IntensityMap(demo.axes, simulate_map(demo.geom, demo.vacuum,
+                                                 demo.axes)))
+
+
+def _peak_bytes(call):
+    """(result, tracemalloc peak of `call` above what was live before)."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# ------------------------------------------------------ memory on the demo
+
+def test_simulate_map_peak_is_its_output_plus_a_block(demo):
+    out, peak = _peak_bytes(
+        lambda: simulate_map(demo.geom, demo.gas, demo.axes))
+    assert out.shape == (512, 640)
+    assert peak <= out.nbytes + 2 * MIB
+
+
+def test_retrieve_peak_beside_its_two_maps(demo, demo_maps):
+    res, peak = _peak_bytes(lambda: retrieve(
+        *demo_maps, demo.geom, sample_visible_index=demo.n_vis))
+    assert res.rows.size == 512
+    assert peak <= 6 * MIB
+
+
+def test_native_map_io_peaks(demo_maps, tmp_path):
+    path = tmp_path / "s.nlm"
+    _, save_peak = _peak_bytes(lambda: save_map(path, demo_maps[0]))
+    back, load_peak = _peak_bytes(lambda: load_map(path))
+    assert np.array_equal(back.intensity, demo_maps[0].intensity)
+    assert save_peak <= 0.5 * MIB
+    assert load_peak <= 1.2 * back.intensity.nbytes
+
+
+# ------------------------------------ the same bits with a partial block
+
+@pytest.fixture(scope="module")
+def axes150(demo):
+    # 150 rows: two full 64-row blocks and a partial one of 22
+    lam = demo.axes.wavelength_nm
+    return MapAxes(np.linspace(lam[0], lam[-1], 150), demo.axes.angle_rad)
+
+
+def test_simulate_map_equals_the_whole_map_composition(demo, axes150):
+    lam, theta = axes150.wavelength_nm, axes150.angle_rad
+    whole = interference_intensity(
+        crystal_phase_mismatch(demo.geom, lam, theta),
+        gap_phase(demo.geom, demo.gas, lam, theta),
+        gap_fringe_amplitude(demo.geom, demo.gas, lam)[:, None])
+    assert np.array_equal(simulate_map(demo.geom, demo.gas, axes150), whole)
+
+
+def _fit_in_blocks(rows, envelope, phase, steepening):
+    parts = [fit_rows_model(rows[blk], envelope[blk], phase[blk],
+                            steepening[blk]) for blk in row_blocks(len(rows))]
+    return SimpleNamespace(**{
+        name: np.concatenate([getattr(p, name) for p in parts])
+        for name in ("contrast", "phase_rad", "sigma_contrast",
+                     "sigma_phase")})
+
+
+@pytest.mark.parametrize("rows", [None, range(1, 150, 2)],
+                         ids=["all", "odd"])
+def test_retrieve_equals_block_fits_of_whole_map_templates(demo, axes150,
+                                                           rows):
+    # under noise the rows settle after different numbers of passes, so
+    # the last bits of a fit depend on which rows share its block
+    rng = np.random.default_rng(6)
+    sample, reference = (IntensityMap(axes150, with_gaussian_noise(
+        simulate_map(demo.geom, gas, axes150), 1e-3, rng))
+        for gas in (demo.gas, demo.vacuum))
+    res = retrieve(sample, reference, demo.geom, rows=rows,
+                   sample_visible_index=demo.n_vis)
+
+    idx = np.arange(150) if rows is None else np.asarray(rows)
+    lam, theta = axes150.wavelength_nm[idx], axes150.angle_rad
+    phase_s, envelope, steepening = _model_pattern(demo.geom, lam, theta,
+                                                   demo.n_vis)
+    phase_r, _, _ = _model_pattern(demo.geom, lam, theta)
+    est_s = _fit_in_blocks(sample.intensity[idx], envelope, phase_s,
+                           steepening)
+    est_r = _fit_in_blocks(reference.intensity[idx], envelope, phase_r,
+                           steepening)
+    gap = demo.geom.gap_length_cm
+    vis = est_s.contrast / est_r.contrast
+    vis_sigma = vis * np.hypot(est_s.sigma_contrast / est_s.contrast,
+                               est_r.sigma_contrast / est_r.contrast)
+    offset_sigma = (res.idler_wavelength_nm * 1e-7) / (2.0 * math.pi * gap) \
+        * np.hypot(est_s.sigma_phase, est_r.sigma_phase)
+    np.testing.assert_array_equal(res.rows, idx)
+    np.testing.assert_array_equal(res.visibility, vis)
+    np.testing.assert_array_equal(res.alpha_sigma_cm, vis_sigma / (vis * gap))
+    np.testing.assert_array_equal(res.phase_shift_rad,
+                                  est_s.phase_rad - est_r.phase_rad)
+    np.testing.assert_array_equal(res.index_offset_sigma, offset_sigma)
