@@ -127,16 +127,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_retrieve(args) -> int:
     cfg = load_run_config(args.config)
     geom = build_geometry(cfg)
-    sample = load_map(args.sample)
-    reference = load_map(args.reference)
     if args.every < 1:
         raise ConfigError("--every must be at least 1", key="--every")
-    rows = None
-    if args.every > 1:
-        rows = range(0, sample.intensity.shape[0], args.every)
     sample_vis = gas_index(cfg.visible, cfg.pressure_torr, cfg.temperature_k)
-    result = retrieve(sample, reference, geom, engine=args.engine,
-                      rows=rows, polish=not args.no_polish,
+    result = retrieve(args.sample, args.reference, geom, engine=args.engine,
+                      rows=slice(None, None, args.every),
+                      polish=not args.no_polish,
                       on_negative=args.on_negative,
                       sample_visible_index=sample_vis)
     save_result_csv(args.output, result)

@@ -42,7 +42,7 @@ NM_PER_CM = 1.0e7
 # Wavelength rows that every map-sized stage (rendering, fitting, text
 # output) handles at once: each stage's temporaries are one block of
 # rows, not a whole map.
-_BLOCK_ROWS = 64
+_BLOCK_ROWS = 32
 
 
 def row_blocks(n_rows: int) -> list[slice]:

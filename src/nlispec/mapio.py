@@ -28,7 +28,7 @@ rename), so a crash never leaves a half-written file behind.
 
 from __future__ import annotations
 
-import io
+import itertools
 import json
 import os
 import struct
@@ -159,83 +159,91 @@ def _load_native(path) -> IntensityMap:
 
 # ---------------------------------------------------------------- text tables
 
-def write_text_table(path, magic: str, meta: dict, header, table) -> None:
-    """Write a 2-D `table` below its magic, meta and header lines, one
-    block of rows at a time."""
+def write_text_table(path, magic: str, meta: dict, header, *columns) -> None:
+    """Write `columns`, 1-D or 2-D arrays of equal length set side by
+    side, below the magic, meta and header lines, one block of rows at
+    a time: no whole table is ever stacked."""
     meta_line = "# meta: " + json.dumps(meta, sort_keys=True)
 
     def chunks():
         yield "\n".join((magic, meta_line, ",".join(header), "")).encode(
             "utf-8")
-        for blk in row_blocks(len(table)):
-            # closed at once: savetxt's writer holds the buffer in a
-            # reference cycle that only the garbage collector would free
-            with io.StringIO() as buf:
-                np.savetxt(buf, table[blk], fmt=_CELL, delimiter=",")
-                chunk = buf.getvalue().encode("utf-8")
-            yield chunk
+        for blk in row_blocks(len(columns[0])):
+            block = np.column_stack([c[blk] for c in columns])
+            # np.savetxt's own line format, one encoded line at a time
+            line = ",".join([_CELL] * block.shape[1]) + "\n"
+            for row in block:
+                yield (line % tuple(row)).encode("utf-8")
 
     _atomic_write_bytes(path, chunks())
 
 
 def read_text_table(path):
     """(magic or None, meta, header cells, 2-D float array) of a text
-    table; every defect raises MapFormatError."""
+    table; every defect raises MapFormatError.  The body is parsed as
+    it is read, never held as text."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            magic, meta = None, {}
+            for n, line in enumerate(fh, 1):
+                text = line.strip()
+                if n == 1 and line.startswith("#"):
+                    magic = text
+                if text and not text.startswith("#"):
+                    header = [cell.strip() for cell in text.split(",")]
+                    break
+                body = text.lstrip("#").strip()
+                if body.startswith("meta:"):
+                    try:
+                        meta = json.loads(body[5:])
+                    except json.JSONDecodeError as exc:
+                        raise MapFormatError(
+                            f"{path}:{n}: bad meta json: {exc}") from None
+            else:
+                raise MapFormatError(f"{path}: no data rows")
+            # np.loadtxt only warns on an empty body
+            for first, line in enumerate(fh, n + 1):
+                if line.strip() and not line.lstrip().startswith("#"):
+                    break
+            else:
+                raise MapFormatError(f"{path}: no data rows")
+            try:
+                table = np.loadtxt(itertools.chain((line,), fh),
+                                   delimiter=",", ndmin=2)
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                raise _cell_error(path, first, len(header), exc) from None
     except UnicodeDecodeError as exc:
         raise MapFormatError(f"{path}: not UTF-8 text: {exc}") from None
-    magic = lines[0].strip() if lines and lines[0].startswith("#") else None
-    meta = {}
-    for n, text in enumerate(lines):
-        text = text.strip()
-        if text and not text.startswith("#"):
-            break
-        body = text.lstrip("#").strip()
-        if body.startswith("meta:"):
-            try:
-                meta = json.loads(body[5:])
-            except json.JSONDecodeError as exc:
-                raise MapFormatError(
-                    f"{path}:{n + 1}: bad meta json: {exc}") from None
-    else:
-        raise MapFormatError(f"{path}: no data rows")
-    header = [cell.strip() for cell in text.split(",")]
-    rows = lines[n + 1:]
-    # np.loadtxt only warns on an empty body
-    if not any(ln.strip() and not ln.lstrip().startswith("#") for ln in rows):
-        raise MapFormatError(f"{path}: no data rows")
-    try:
-        table = np.loadtxt(rows, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise _cell_error(path, rows, n + 2, len(header), exc) from None
     if table.shape[1] != len(header):
         raise MapFormatError(f"{path}: expected {len(header)} cells per row, "
                              f"got {table.shape[1]}")
     return magic, meta, header, table
 
 
-def _cell_error(path, lines, first, width, exc) -> MapFormatError:
-    """The error for the first of `lines` (file line `first` on) that is
-    not `width` numbers; numpy's own message counts data rows only."""
-    for number, line in enumerate(lines, first):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        try:
-            cells = np.loadtxt([line], delimiter=",", ndmin=2).shape[1]
-        except ValueError:
-            cells = None
-        if cells != width:
-            return MapFormatError(
-                f"{path}:{number}: bad cells: expected {width} numbers")
+def _cell_error(path, first, width, exc) -> MapFormatError:
+    """The error for the first line of `path` (file line `first` on) that
+    is not `width` numbers; numpy's own message counts data rows only."""
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if (number < first or not line.strip()
+                    or line.lstrip().startswith("#")):
+                continue
+            try:
+                cells = np.loadtxt([line], delimiter=",", ndmin=2).shape[1]
+            except ValueError:
+                cells = None
+            if cells != width:
+                return MapFormatError(
+                    f"{path}:{number}: bad cells: expected {width} numbers")
     return MapFormatError(f"{path}: bad cells: {exc}")
 
 
 def _save_csv(path, m: IntensityMap):
     header = ["wavelength_nm"] + [_CELL % a for a in m.axes.angle_rad]
-    table = np.column_stack((m.axes.wavelength_nm, m.intensity))
-    write_text_table(path, "# nlispec map 1", m.meta, header, table)
+    write_text_table(path, "# nlispec map 1", m.meta, header,
+                     m.axes.wavelength_nm, m.intensity)
 
 
 def _load_csv(path) -> IntensityMap:
@@ -243,7 +251,8 @@ def _load_csv(path) -> IntensityMap:
     if header[0] != "wavelength_nm":
         raise MapFormatError(f"{path}: expected header row, got {header[0]!r}")
     try:
-        axes = MapAxes(table[:, 0], np.array(header[1:], dtype=float))
+        # a copy: a view would keep the whole table alive with the axes
+        axes = MapAxes(table[:, 0].copy(), np.array(header[1:], dtype=float))
         return IntensityMap(axes, table[:, 1:], meta)
     except ValueError as exc:
         raise MapFormatError(f"{path}: {exc}") from None

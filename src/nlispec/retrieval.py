@@ -41,7 +41,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import MapFormatError, NegativeAbsorptionError
+from .errors import (AxisMismatchError, MapFormatError,
+                     NegativeAbsorptionError)
 from .gas import nu_cm_from_lambda_nm
 from .interferometer import (
     InterferometerGeometry,
@@ -50,8 +51,7 @@ from .interferometer import (
     idler_wavelength_nm,
     row_blocks,
 )
-from .mapio import (IntensityMap, read_text_table, require_same_axes,
-                    write_text_table)
+from .mapio import IntensityMap, load_map, read_text_table, write_text_table
 
 
 # ------------------------------------------------------------ inversions
@@ -107,8 +107,8 @@ class RowEstimate:
     sigma_phase: np.ndarray
 
 
-# Gauss-Newton passes after the linear stage stop once no row's phase
-# moves by more than _PHASE_TOL rad, or after _MAX_PASSES of them.
+# A row's Gauss-Newton passes after the linear stage stop once its phase
+# moves by no more than _PHASE_TOL rad, or after _MAX_PASSES of them.
 _PHASE_TOL = 1e-8
 _MAX_PASSES = 20
 # Extrema engine: degree of the polynomial envelope, and the fewest full
@@ -138,8 +138,10 @@ def fit_rows_model(rows, envelope, phase, steepening=None, *,
     stage, with NaN sigmas; with it, Gauss-Newton passes by re-projection
     (see the module docstring) run to the optimum, and the sigmas come
     from the last pass's design matrix, scaled by residual / dof.  A row
-    whose phase still moves by more than _PHASE_TOL after _MAX_PASSES
-    passes (a row of noise, say) keeps the linear stage and NaN sigmas.
+    leaves the passes once its phase moves by at most _PHASE_TOL, so its
+    fit does not depend on the other rows.  A row whose phase still
+    moves after _MAX_PASSES passes (a row of noise, say) keeps the
+    linear stage and NaN sigmas.
     A row whose projected amplitude is not positive is no fringe row:
     every field of it is NaN, and the other rows are fitted as usual.
     """
@@ -153,28 +155,39 @@ def fit_rows_model(rows, envelope, phase, steepening=None, *,
     dof = rows.shape[1] - 3
     # a block bounds the (rows x angles x 3) design matrix and the copies
     for blk in row_blocks(rows.shape[0]):
-        env, phi, m = envelope[blk], phase[blk], steepening[blk]
-        delta = np.zeros(env.shape[0])
-        lit = np.ones(env.shape[0], dtype=bool)
-        settled = np.zeros(env.shape[0], dtype=bool)
+        y, env, phi, m = rows[blk], envelope[blk], phase[blk], steepening[blk]
+        n = y.shape[0]
+        at = np.arange(n)   # the block rows still projected
+        delta = np.zeros(n)
+        lit = np.ones(n, dtype=bool)
+        settled = np.zeros(n, dtype=bool)
+        # each row's fit, Gram matrix and rss from the last pass it took
+        last, gram, rss = np.empty((3, n)), np.empty((n, 3, 3)), np.empty(n)
         sine_env = env   # pass 0 leaves the steepening out
         for k in range(_MAX_PASSES + 1 if polish else 1):
             theta = phi + delta[:, None] * m
-            (a0, ac, as_), gram, rss = _project(rows[blk], np.stack(
+            (a0, ac, as_), gram[at], rss[at] = _project(y, np.stack(
                 (env, env * np.cos(theta), sine_env * np.sin(theta)), -1))
             step = np.arctan2(-as_, ac)
             delta = delta + step
-            lit &= a0 > 0
+            lit[at] &= a0 > 0
+            last[:, at] = a0, np.hypot(ac, as_), delta
             if k == 0:
-                linear = np.stack((a0, np.hypot(ac, as_), delta))
+                linear = last.copy()
                 sine_env = env * m
             else:
-                settled = np.abs(step) <= _PHASE_TOL
-                if np.all(settled[lit]):
-                    break
+                settled[at] = np.abs(step) <= _PHASE_TOL
+            # a settled or unlit row leaves the passes; the working rows
+            # are copied only when that shrinks them, so they stay a block
+            moving = lit[at] & ~settled[at]
+            if not moving.any():
+                break
+            if not moving.all():
+                at, delta = at[moving], delta[moving]
+                y, env, phi, m, sine_env = (
+                    a[moving] for a in (y, env, phi, m, sine_env))
         # a row the passes did not settle keeps the linear stage
-        fit = np.where(settled, np.stack((a0, np.hypot(ac, as_), delta)),
-                       linear)
+        fit = np.where(settled, last, linear)
         fit[:, ~lit] = math.nan
         amp, tau = fit[0], fit[1] / fit[0]
         params[:, blk] = amp, tau, fit[2]
@@ -279,6 +292,19 @@ class RetrievalResult:
     meta: dict = field(default_factory=dict)
 
 
+def _row_indices(rows, n_rows: int) -> np.ndarray:
+    """Indices of the wavelength rows `rows` (None for all, a slice, or
+    indices) selects from a map of `n_rows` rows."""
+    if rows is None:
+        rows = slice(None)
+    if isinstance(rows, slice):
+        return np.arange(n_rows)[rows]
+    row_idx = np.atleast_1d(np.asarray(rows, dtype=int))
+    if np.any(row_idx < 0) or np.any(row_idx >= n_rows):
+        raise ValueError("row index out of range")
+    return row_idx
+
+
 def _model_pattern(geom: InterferometerGeometry, lambda_s_nm, theta_rad,
                    visible_index: float = 1.0):
     """Template phase, envelope and phase-shift steepening per row.
@@ -297,55 +323,59 @@ def _model_pattern(geom: InterferometerGeometry, lambda_s_nm, theta_rad,
     return delta + delta_m, envelope, steepening
 
 
-def retrieve(sample: IntensityMap, reference: IntensityMap,
-             geom: InterferometerGeometry, *, engine: str = "model",
-             rows=None, polish: bool = True, on_negative: str = "keep",
+def retrieve(sample, reference, geom: InterferometerGeometry, *,
+             engine: str = "model", rows=None, polish: bool = True,
+             on_negative: str = "keep",
              sample_visible_index: float = 1.0) -> RetrievalResult:
     """Recover alpha and the idler index offset per signal wavelength.
 
+    `sample` and `reference` are each an IntensityMap or the path of a
+    map file; a path is loaded just before its map is fitted and dropped
+    after it, so the two maps are never in memory together.
     `reference` must be recorded with an evacuated gap on identical
-    axes.  `rows` selects a subset of wavelength rows (indices); the
-    default processes all of them.  The extrema engine yields only
-    visibility and absorption (phase columns are NaN).  A row that
-    either engine cannot fit comes back NaN in every fitted column.
+    axes.  `rows` selects a subset of wavelength rows (indices, or a
+    slice of the sample's rows); the default processes all of them.
+    The extrema engine yields only visibility and absorption (phase
+    columns are NaN).  A row that either engine cannot fit comes back
+    NaN in every fitted column.
 
     The visible-band index of whatever fills the gap is assumed known
     (it only nudges the fringe template); pass it per map so the
     fitted phase difference is carried by the idler alone.  The
     returned index offset is idler index minus sample visible index.
     """
-    require_same_axes(sample, reference, "sample and reference")
     if engine not in ("model", "extrema"):
         raise ValueError(f"unknown engine {engine!r}")
-    axes = sample.axes
-    if rows is None:
-        row_idx = np.arange(axes.shape[0])
-    else:
-        row_idx = np.atleast_1d(np.asarray(rows, dtype=int))
-        if np.any(row_idx < 0) or np.any(row_idx >= axes.shape[0]):
-            raise ValueError("row index out of range")
-    lam_s = axes.wavelength_nm[row_idx]
-    lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lam_s)
-
-    if engine == "model":
-        # one block of rows at a time: the templates and row copies stay
-        # block-sized, and each block is one block of fit_rows_model
-        est = np.empty((2, len(fields(RowEstimate)), row_idx.size))
-        for blk in row_blocks(row_idx.size):
-            phase_s, envelope, steepening = _model_pattern(
-                geom, lam_s[blk], axes.angle_rad, sample_visible_index)
-            # the reference gap is evacuated: visible index 1
-            phase_r, _, _ = _model_pattern(geom, lam_s[blk], axes.angle_rad)
-            for out, m, phase in ((est[0], sample, phase_s),
-                                  (est[1], reference, phase_r)):
+    axes = None
+    estimates, metas = [], []
+    # the reference gap is evacuated: visible index 1
+    for m, visible in ((sample, sample_visible_index), (reference, 1.0)):
+        if not isinstance(m, IntensityMap):
+            m = load_map(m)
+        if axes is None:
+            axes = m.axes
+            row_idx = _row_indices(rows, axes.shape[0])
+            lam_s = axes.wavelength_nm[row_idx]
+            lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lam_s)
+        elif not axes.close_to(m.axes):
+            raise AxisMismatchError(
+                "sample and reference do not share wavelength/angle axes")
+        if engine == "model":
+            # one block of rows at a time: the template and the row copy
+            # stay block-sized, and each block is one of fit_rows_model
+            est = np.empty((len(fields(RowEstimate)), row_idx.size))
+            for blk in row_blocks(row_idx.size):
+                phase, envelope, steepening = _model_pattern(
+                    geom, lam_s[blk], axes.angle_rad, visible)
                 fit = fit_rows_model(m.intensity[row_idx[blk]], envelope,
                                      phase, steepening, polish=polish)
-                out[:, blk] = [getattr(fit, f.name)
+                est[:, blk] = [getattr(fit, f.name)
                                for f in fields(RowEstimate)]
-        est_s, est_r = RowEstimate(*est[0]), RowEstimate(*est[1])
-    else:
-        est_s = fit_rows_extrema(sample.intensity[row_idx])
-        est_r = fit_rows_extrema(reference.intensity[row_idx])
+            estimates.append(RowEstimate(*est))
+        else:
+            estimates.append(fit_rows_extrema(m.intensity[row_idx]))
+        metas.append(m.meta)
+    est_s, est_r = estimates
     dphi = est_s.phase_rad - est_r.phase_rad
     dphi_sigma = np.hypot(est_s.sigma_phase, est_r.sigma_phase)
     vis = est_s.contrast / est_r.contrast
@@ -362,7 +392,7 @@ def retrieve(sample: IntensityMap, reference: IntensityMap,
             "gap_length_cm": geom.gap_length_cm,
             "sample_visible_index": sample_visible_index,
             "reference_visible_index": 1.0,
-            "sample_meta": sample.meta, "reference_meta": reference.meta}
+            "sample_meta": metas[0], "reference_meta": metas[1]}
     return RetrievalResult(
         wavelength_nm=lam_s, idler_wavelength_nm=lam_i,
         idler_nu_cm=nu_cm_from_lambda_nm(lam_i), visibility=vis,
@@ -380,9 +410,9 @@ _RESULT_COLUMNS = ("row", "wavelength_nm", "idler_wavelength_nm",
 
 def save_result_csv(path, result: RetrievalResult) -> None:
     """Write a retrieval result as a self-describing text table."""
-    table = np.column_stack([result.rows] + [
-        getattr(result, name) for name in _RESULT_COLUMNS[1:]])
-    write_text_table(path, _RESULT_MAGIC, result.meta, _RESULT_COLUMNS, table)
+    write_text_table(path, _RESULT_MAGIC, result.meta, _RESULT_COLUMNS,
+                     result.rows, *(getattr(result, name)
+                                    for name in _RESULT_COLUMNS[1:]))
 
 
 def load_result_csv(path) -> RetrievalResult:

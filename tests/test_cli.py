@@ -339,6 +339,30 @@ def test_info_survives_map_byte_fuzz(tmp_path, capsys, target):
     capsys.readouterr()
 
 
+def test_info_reads_a_long_csv_body_as_it_streams(tmp_path, capsys):
+    # CRLF line ends, blank and comment lines in the body, then one byte
+    # that is not UTF-8 far past the first block the reader decodes
+    rng = np.random.default_rng(8)
+    axes = MapAxes(np.linspace(600.0, 612.0, 400), np.linspace(-5e-3, 5e-3, 8))
+    m = IntensityMap(axes, rng.uniform(0.1, 2.0, axes.shape))
+    path = tmp_path / "m.csv"
+    save_map(path, m)
+    lines = path.read_bytes().split(b"\n")
+    lines[100:100] = [b"", b"# a comment", b""]
+    path.write_bytes(b"\r\n".join(lines))
+    back = load_map(path)
+    np.testing.assert_array_equal(back.intensity, m.intensity)
+    np.testing.assert_array_equal(back.axes.wavelength_nm, axes.wavelength_nm)
+
+    row_300 = 3 + 3 + 300   # magic, meta and header; the inserted lines
+    lines[row_300] = lines[row_300][:30] + b"\xff" + lines[row_300][30:]
+    path.write_bytes(b"\r\n".join(lines))
+    assert main(["info", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
 def test_info_rejects_nan_axis_value(tmp_path, capsys):
     # json.dumps writes a bare NaN, which json.loads reads back
     header = json.dumps({"rows": 3, "cols": 2,

@@ -1,7 +1,9 @@
+import gc
 import io
 import json
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -54,6 +56,19 @@ def test_csv_layout_is_pinned(tmp_path):
         b"wavelength_nm,-0.001,0,0.33333333333333331\n"
         b"600,0.25,1.0000000000000001e-17,0.10000000000000001\n"
         b"601.5,1,2,3.5\n")
+
+
+def test_csv_axes_do_not_keep_the_table_alive(tmp_path, sample_map):
+    p = tmp_path / "m.csv"
+    save_map(p, sample_map)
+    m = load_map(p)
+    table = weakref.ref(m.intensity.base)   # the parsed table
+    axes = m.axes
+    del m
+    gc.collect()
+    assert table() is None
+    np.testing.assert_array_equal(axes.wavelength_nm,
+                                  sample_map.axes.wavelength_nm)
 
 
 def test_csv_hand_made_map_loads(tmp_path):
@@ -289,7 +304,7 @@ def test_no_partial_file_on_failed_save(tmp_path, sample_map, monkeypatch):
 
 
 def test_text_table_in_row_blocks_matches_one_savetxt(tmp_path):
-    # 150 rows: two full 64-row blocks and a partial one
+    # 150 rows: four full 32-row blocks and a partial one
     table = np.random.default_rng(5).normal(size=(150, 4))
     table[3, 1], table[70, 2], table[149, 0] = math.nan, 1.0 / 3.0, 1e-300
     write_text_table(tmp_path / "t.csv", "# magic", {"b": 1, "a": [2]},

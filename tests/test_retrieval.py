@@ -6,7 +6,7 @@ from scipy.optimize import least_squares
 
 from nlispec.errors import AxisMismatchError, NegativeAbsorptionError
 from nlispec.interferometer import MapAxes, simulate_map, with_gaussian_noise
-from nlispec.mapio import IntensityMap
+from nlispec.mapio import IntensityMap, save_map
 from nlispec.retrieval import (
     absorption_from_visibility,
     fit_rows_extrema,
@@ -142,6 +142,54 @@ def test_fit_rows_model_never_fits_worse_than_the_linear_stage():
         np.testing.assert_array_equal(getattr(est, name)[~settled],
                                       getattr(linear, name)[~settled])
     assert np.all(np.isnan(est.sigma_contrast[~settled]))
+
+
+def test_fit_rows_model_retires_each_row_as_it_settles(monkeypatch):
+    # 31 fringe rows share one block with a row of noise that never
+    # settles; each fringe row leaves the passes at its own pass
+    import nlispec.retrieval as retrieval
+
+    rng = np.random.default_rng(0)
+    theta = np.linspace(-1.0, 1.0, 640)
+    envelope = np.sinc(0.3 * theta) ** 2
+    phase = 40.0 * theta**2
+    steepening = 1.0 / np.sqrt(1.0 - (0.4 * theta) ** 2)
+    noise = rng.normal(1.0, 0.3, (32, 640)) * envelope
+    restless = noise[np.isnan(fit_rows_model(noise, envelope, phase,
+                                             steepening).sigma_phase)][0]
+    fringes = np.array([
+        envelope * (1.0 + tau * np.cos(phase + d * steepening)
+                    + rng.normal(0.0, s, theta.size))
+        for tau, d, s in zip(rng.uniform(0.02, 0.9, 31),
+                             rng.uniform(-3.0, 3.0, 31),
+                             rng.uniform(0.0, 0.3, 31))])
+    rows = np.vstack((fringes[:15], restless, fringes[15:]))
+
+    projected = []   # the rows each projection was given
+    project = retrieval._project
+
+    def spy(y, design):
+        projected.append(y.copy())
+        return project(y, design)
+
+    monkeypatch.setattr(retrieval, "_project", spy)
+    est = fit_rows_model(rows, envelope, phase, steepening)
+    in_block = projected.copy()
+    assert len(in_block) == 1 + retrieval._MAX_PASSES
+    assert np.isnan(est.sigma_phase[15]) and np.isfinite(est.amplitude[15])
+    passes = []
+    for i, row in enumerate(fringes):
+        projected.clear()
+        alone = fit_rows_model(row, envelope, phase, steepening)
+        j = i if i < 15 else i + 1
+        for f in ("amplitude", "contrast", "phase_rad", "sigma_contrast",
+                  "sigma_phase"):
+            assert getattr(est, f)[j] == getattr(alone, f)[0], (i, f)
+        passes.append(len(projected))
+        assert passes[-1] == sum(np.any(np.all(y == row, axis=1))
+                                 for y in in_block), i
+    assert max(passes) < 1 + retrieval._MAX_PASSES
+    assert len(set(passes)) > 1   # the working rows shrink more than once
 
 
 @pytest.mark.parametrize("dphi", [math.pi + 5e-3, -math.pi - 5e-3])
@@ -324,6 +372,25 @@ def test_retrieve_requires_matching_axes(map_pair):
         retrieve(sample, other, geom)
     with pytest.raises(ValueError):
         retrieve(sample, reference, geom, engine="fourier")
+
+
+def test_retrieve_reference_path_with_other_axes(map_pair, tmp_path,
+                                                 monkeypatch):
+    import nlispec.retrieval as retrieval
+
+    geom, sample, reference = map_pair
+    save_map(tmp_path / "s.nlm", sample)
+    save_map(tmp_path / "r.nlm", IntensityMap(MapAxes(
+        sample.axes.wavelength_nm, sample.axes.angle_rad[::2]),
+        reference.intensity[:, ::2]))
+    fitted = []
+    fit = retrieval.fit_rows_model
+    monkeypatch.setattr(retrieval, "fit_rows_model",
+                        lambda rows, *a, **k: fitted.append(rows.shape)
+                        or fit(rows, *a, **k))
+    with pytest.raises(AxisMismatchError):
+        retrieve(str(tmp_path / "s.nlm"), str(tmp_path / "r.nlm"), geom)
+    assert fitted == [(5, 257)]   # the sample only
 
 
 def test_retrieve_negative_absorption_policies(map_pair):

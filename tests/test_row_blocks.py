@@ -22,6 +22,7 @@ from nlispec.interferometer import (
     simulate_map,
     with_gaussian_noise,
 )
+from nlispec.cli import main
 from nlispec.mapio import IntensityMap, load_map, save_map
 from nlispec.retrieval import _model_pattern, fit_rows_model, retrieve
 
@@ -82,11 +83,66 @@ def test_native_map_io_peaks(demo_maps, tmp_path):
     assert load_peak <= 1.2 * back.intensity.nbytes
 
 
+def test_csv_map_save_peak_is_a_block(demo_maps, tmp_path):
+    path = tmp_path / "s.csv"
+    _, peak = _peak_bytes(lambda: save_map(path, demo_maps[0]))
+    assert np.array_equal(load_map(path).intensity, demo_maps[0].intensity)
+    assert peak <= 1 * MIB
+
+
+# ----------------------------------------- retrieve holds one map at a time
+
+@pytest.fixture(scope="module")
+def demo_files(demo, demo_maps, tmp_path_factory):
+    """The demo maps under 1e-3 noise, in memory and as .nlm and .csv."""
+    d = tmp_path_factory.mktemp("maps")
+    rng = np.random.default_rng(15)
+    maps = [IntensityMap(demo.axes, with_gaussian_noise(m.intensity, 1e-3,
+                                                        rng), {"map": kind})
+            for m, kind in zip(demo_maps, ("sample", "reference"))]
+    for m, kind in zip(maps, ("sample", "reference")):
+        for suffix in (".nlm", ".csv"):
+            save_map(d / f"{kind}{suffix}", m)
+    return d, maps
+
+
+@pytest.mark.parametrize("engine", ["model", "extrema"])
+@pytest.mark.parametrize("suffix", [".nlm", ".csv"])
+def test_retrieve_from_paths_equals_from_maps(demo, demo_files, suffix,
+                                              engine):
+    d, maps = demo_files
+    n = maps[0].axes.shape[0]
+    from_maps = retrieve(*maps, demo.geom, engine=engine,
+                         rows=range(0, n, 3), sample_visible_index=demo.n_vis)
+    from_paths = retrieve(str(d / f"sample{suffix}"),
+                          str(d / f"reference{suffix}"), demo.geom,
+                          engine=engine, rows=slice(None, None, 3),
+                          sample_visible_index=demo.n_vis)
+    assert from_paths.meta == from_maps.meta
+    for name in ("rows", "wavelength_nm", "idler_wavelength_nm", "visibility",
+                 "alpha_cm", "alpha_sigma_cm", "phase_shift_rad",
+                 "index_offset", "index_offset_sigma"):
+        np.testing.assert_array_equal(getattr(from_paths, name),
+                                      getattr(from_maps, name), err_msg=name)
+    assert from_paths.rows.size == 171
+
+
+@pytest.mark.parametrize("suffix", [".nlm", ".csv"])
+def test_cli_retrieve_peak_is_one_map_and_a_block(demo_files, suffix,
+                                                  tmp_path):
+    d, maps = demo_files
+    code, peak = _peak_bytes(lambda: main([
+        "retrieve", str(d / f"sample{suffix}"), str(d / f"reference{suffix}"),
+        str(data_path("co2_demo.cfg")), "-o", str(tmp_path / "r.csv")]))
+    assert code == 0
+    assert peak <= maps[0].intensity.nbytes + 2.5 * MIB
+
+
 # ------------------------------------ the same bits with a partial block
 
 @pytest.fixture(scope="module")
 def axes150(demo):
-    # 150 rows: two full 64-row blocks and a partial one of 22
+    # 150 rows: four full 32-row blocks and a partial one of 22
     lam = demo.axes.wavelength_nm
     return MapAxes(np.linspace(lam[0], lam[-1], 150), demo.axes.angle_rad)
 
@@ -113,8 +169,7 @@ def _fit_in_blocks(rows, envelope, phase, steepening):
                          ids=["all", "odd"])
 def test_retrieve_equals_block_fits_of_whole_map_templates(demo, axes150,
                                                            rows):
-    # under noise the rows settle after different numbers of passes, so
-    # the last bits of a fit depend on which rows share its block
+    # under noise the rows settle after different numbers of passes
     rng = np.random.default_rng(6)
     sample, reference = (IntensityMap(axes150, with_gaussian_noise(
         simulate_map(demo.geom, gas, axes150), 1e-3, rng))
