@@ -33,7 +33,6 @@ from .errors import (
     ConfigError,
     LineParseError,
     MapFormatError,
-    NegativeAbsorptionError,
     NlispecError,
     ValidityRangeError,
 )
@@ -66,7 +65,7 @@ from .lineshape import (
     save_line_csv,
     voigt_profile,
 )
-from .mapio import IntensityMap, load_map, require_same_axes, save_map
+from .mapio import IntensityMap, load_map, save_map
 from .resources import data_path
 from .retrieval import (
     RetrievalResult,
@@ -91,7 +90,6 @@ __all__ = [
     "LineParseError",
     "MapAxes",
     "MapFormatError",
-    "NegativeAbsorptionError",
     "NlispecError",
     "RetrievalResult",
     "RowEstimate",
@@ -135,7 +133,6 @@ __all__ = [
     "nu_cm_from_lambda_nm",
     "number_density",
     "parse_par_record",
-    "require_same_axes",
     "retrieve",
     "save_line_csv",
     "save_map",

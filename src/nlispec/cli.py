@@ -6,8 +6,8 @@
     nlispec info       MAP
 
 Exit codes: 0 success, 1 unreadable or unparseable input, 2 bad
-configuration or out-of-range physics, 3 inputs that are individually
-fine but mutually inconsistent.
+configuration or out-of-range physics, 3 sample and reference maps
+whose axes do not match.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     ConfigError,
     LineParseError,
     MapFormatError,
-    NegativeAbsorptionError,
     ValidityRangeError,
 )
 from .interferometer import (
@@ -73,9 +72,6 @@ def _parser() -> argparse.ArgumentParser:
                      help="fit every Nth wavelength row")
     ret.add_argument("--no-polish", action="store_true",
                      help="skip the nonlinear refinement stage")
-    ret.add_argument("--on-negative", choices=("keep", "clip", "raise"),
-                     default="keep",
-                     help="policy for visibility ratios above 1")
 
     ang = sub.add_parser("pump-angle",
                          help="solve the collinear phase-matching angle")
@@ -133,7 +129,6 @@ def _cmd_retrieve(args) -> int:
     result = retrieve(args.sample, args.reference, geom, engine=args.engine,
                       rows=slice(None, None, args.every),
                       polish=not args.no_polish,
-                      on_negative=args.on_negative,
                       sample_visible_index=sample_vis)
     save_result_csv(args.output, result)
     # the peak is the row whose absorption stands highest above its own
@@ -198,7 +193,7 @@ def main(argv=None) -> int:
         print(f"nlispec: config error: value out of numeric range: {exc}",
               file=sys.stderr)
         return 2
-    except (AxisMismatchError, NegativeAbsorptionError) as exc:
+    except AxisMismatchError as exc:
         print(f"nlispec: inconsistent inputs: {exc}", file=sys.stderr)
         return 3
     except (MapFormatError, LineParseError, OSError) as exc:

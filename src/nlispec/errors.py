@@ -42,13 +42,3 @@ class MapFormatError(NlispecError, ValueError):
 
 class AxisMismatchError(NlispecError, ValueError):
     """Two maps that must share axes/config do not."""
-
-
-class NegativeAbsorptionError(NlispecError, ValueError):
-    """Measured visibility exceeds the reference (would imply alpha < 0)."""
-
-    def __init__(self, alpha):
-        super().__init__(
-            f"visibility exceeds reference: implied absorption {alpha:.4g} cm^-1 < 0"
-        )
-        self.alpha = alpha

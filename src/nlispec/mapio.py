@@ -19,8 +19,9 @@ A text table is UTF-8 lines: a magic comment (``# nlispec map 1``,
 ``# nlispec retrieval 1``), ``# meta: <json>`` with sorted keys, a
 header row, then one comma-separated line per row with floats printed
 as %.17g, so values and NaNs survive bit-exactly.  Readers take the
-meta from the leading comments, skip blank and ``#`` lines, accept
-CRLF and leave the magic to the caller (hand-made maps have none).
+meta from the leading comments, skip every line that is blank or
+starts with ``#`` after stripping, accept CRLF and leave the magic to
+the caller (hand-made maps have none).
 
 All writes are atomic (temp file in the destination directory, then
 rename), so a crash never leaves a half-written file behind.
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AxisMismatchError, MapFormatError
+from .errors import MapFormatError
 from .interferometer import MapAxes, row_blocks
 
 _MAGIC = b"NLIMAP1\n"
@@ -62,11 +63,6 @@ class IntensityMap:
         if not np.all(np.isfinite(arr)):
             raise ValueError("intensity must be finite")
         object.__setattr__(self, "intensity", arr)
-
-
-def require_same_axes(a: IntensityMap, b: IntensityMap, what: str = "maps"):
-    if not a.axes.close_to(b.axes):
-        raise AxisMismatchError(f"{what} do not share wavelength/angle axes")
 
 
 def _atomic_write_bytes(path, payload):
@@ -178,6 +174,12 @@ def write_text_table(path, magic: str, meta: dict, header, *columns) -> None:
     _atomic_write_bytes(path, chunks())
 
 
+def _is_data_line(line: str) -> bool:
+    """A text table line that holds cells: not blank, not a # comment."""
+    text = line.strip()
+    return bool(text) and not text.startswith("#")
+
+
 def read_text_table(path):
     """(magic or None, meta, header cells, 2-D float array) of a text
     table; every defect raises MapFormatError.  The body is parsed as
@@ -189,7 +191,7 @@ def read_text_table(path):
                 text = line.strip()
                 if n == 1 and line.startswith("#"):
                     magic = text
-                if text and not text.startswith("#"):
+                if _is_data_line(line):
                     header = [cell.strip() for cell in text.split(",")]
                     break
                 body = text.lstrip("#").strip()
@@ -201,19 +203,18 @@ def read_text_table(path):
                             f"{path}:{n}: bad meta json: {exc}") from None
             else:
                 raise MapFormatError(f"{path}: no data rows")
+            rows = filter(_is_data_line, fh)
             # np.loadtxt only warns on an empty body
-            for first, line in enumerate(fh, n + 1):
-                if line.strip() and not line.lstrip().startswith("#"):
-                    break
-            else:
+            first = next(rows, None)
+            if first is None:
                 raise MapFormatError(f"{path}: no data rows")
             try:
-                table = np.loadtxt(itertools.chain((line,), fh),
-                                   delimiter=",", ndmin=2)
+                table = np.loadtxt(itertools.chain((first,), rows),
+                                   delimiter=",", comments=None, ndmin=2)
             except UnicodeDecodeError:
                 raise
             except ValueError as exc:
-                raise _cell_error(path, first, len(header), exc) from None
+                raise _cell_error(path, len(header), exc) from None
     except UnicodeDecodeError as exc:
         raise MapFormatError(f"{path}: not UTF-8 text: {exc}") from None
     if table.shape[1] != len(header):
@@ -222,16 +223,17 @@ def read_text_table(path):
     return magic, meta, header, table
 
 
-def _cell_error(path, first, width, exc) -> MapFormatError:
-    """The error for the first line of `path` (file line `first` on) that
+def _cell_error(path, width, exc) -> MapFormatError:
+    """The error for the first data line of `path` below the header that
     is not `width` numbers; numpy's own message counts data rows only."""
     with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if (number < first or not line.strip()
-                    or line.lstrip().startswith("#")):
-                continue
+        lines = ((n, line) for n, line in enumerate(fh, 1)
+                 if _is_data_line(line))
+        next(lines)   # the header
+        for number, line in lines:
             try:
-                cells = np.loadtxt([line], delimiter=",", ndmin=2).shape[1]
+                cells = np.loadtxt([line], delimiter=",", comments=None,
+                                   ndmin=2).shape[1]
             except ValueError:
                 cells = None
             if cells != width:

@@ -37,12 +37,12 @@ common mode: it divides out of V and subtracts out of dphi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (AxisMismatchError, MapFormatError,
-                     NegativeAbsorptionError)
+from .errors import AxisMismatchError, MapFormatError
 from .gas import nu_cm_from_lambda_nm
 from .interferometer import (
     InterferometerGeometry,
@@ -56,28 +56,19 @@ from .mapio import IntensityMap, load_map, read_text_table, write_text_table
 
 # ------------------------------------------------------------ inversions
 
-def absorption_from_visibility(visibility, gap_length_cm: float,
-                               on_negative: str = "raise"):
+def absorption_from_visibility(visibility, gap_length_cm: float):
     """alpha [cm^-1] from referenced visibility V = exp(-alpha L_m).
 
-    V > 1 would mean negative absorption; `on_negative` picks the
-    policy: "raise", "clip" (to zero) or "keep" (propagate the negative
-    value, appropriate for noisy ensembles where it averages out).
+    V > 1 gives a negative alpha, which is kept: near zero absorption
+    noise pushes V above 1 about as often as below it, and the negative
+    values average out with the positive ones.
     """
     if gap_length_cm <= 0:
         raise ValueError("non-positive gap length")
-    if on_negative not in ("raise", "clip", "keep"):
-        raise ValueError(f"unknown negative-absorption policy {on_negative!r}")
     v = np.asarray(visibility, dtype=float)
     if np.any(v <= 0):
         raise ValueError("visibility must be positive")
     alpha = -np.log(v) / gap_length_cm
-    if np.any(v > 1.0):
-        if on_negative == "raise":
-            worst = float(np.nanmin(alpha))
-            raise NegativeAbsorptionError(worst)
-        if on_negative == "clip":
-            alpha = np.maximum(alpha, 0.0)
     return float(alpha) if np.isscalar(visibility) else alpha
 
 
@@ -95,8 +86,7 @@ def index_offset_from_phase(phase_shift_rad, idler_wavelength_nm_,
 
 # ------------------------------------------------------------ row estimators
 
-@dataclass(frozen=True)
-class RowEstimate:
+class RowEstimate(NamedTuple):
     """Per-row fringe parameters from `fit_rows_model` or
     `fit_rows_extrema`; an unreadable row is NaN in every field."""
 
@@ -131,7 +121,10 @@ def fit_rows_model(rows, envelope, phase, steepening=None, *,
                    polish: bool = True) -> RowEstimate:
     """Fringe parameters of many rows against a known vacuum pattern.
 
-    Every argument is an (n_rows, n_angle) array or a single row.
+    Every argument is an (n_rows, n_angle) array or a single row, and
+    all the rows given are fitted together: the (rows x angles x 3)
+    design matrix and the working copies are as large as the input, so
+    a caller with many rows passes them a block at a time.
     `phase` and `envelope` come from the forward model of the empty
     interferometer; `steepening` is the off-axis phase-shift multiplier
     m (1 on axis).  Without `polish` the result is pass 0, the linear
@@ -145,62 +138,55 @@ def fit_rows_model(rows, envelope, phase, steepening=None, *,
     A row whose projected amplitude is not positive is no fringe row:
     every field of it is NaN, and the other rows are fitted as usual.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    envelope = np.broadcast_to(envelope, rows.shape)
-    phase = np.broadcast_to(phase, rows.shape)
-    steepening = np.broadcast_to(1.0 if steepening is None else steepening,
-                                 rows.shape)
-    params = np.empty((3, rows.shape[0]))
-    sigma = np.full((2, rows.shape[0]), math.nan)
-    dof = rows.shape[1] - 3
-    # a block bounds the (rows x angles x 3) design matrix and the copies
-    for blk in row_blocks(rows.shape[0]):
-        y, env, phi, m = rows[blk], envelope[blk], phase[blk], steepening[blk]
-        n = y.shape[0]
-        at = np.arange(n)   # the block rows still projected
-        delta = np.zeros(n)
-        lit = np.ones(n, dtype=bool)
-        settled = np.zeros(n, dtype=bool)
-        # each row's fit, Gram matrix and rss from the last pass it took
-        last, gram, rss = np.empty((3, n)), np.empty((n, 3, 3)), np.empty(n)
-        sine_env = env   # pass 0 leaves the steepening out
-        for k in range(_MAX_PASSES + 1 if polish else 1):
-            theta = phi + delta[:, None] * m
-            (a0, ac, as_), gram[at], rss[at] = _project(y, np.stack(
-                (env, env * np.cos(theta), sine_env * np.sin(theta)), -1))
-            step = np.arctan2(-as_, ac)
-            delta = delta + step
-            lit[at] &= a0 > 0
-            last[:, at] = a0, np.hypot(ac, as_), delta
-            if k == 0:
-                linear = last.copy()
-                sine_env = env * m
-            else:
-                settled[at] = np.abs(step) <= _PHASE_TOL
-            # a settled or unlit row leaves the passes; the working rows
-            # are copied only when that shrinks them, so they stay a block
-            moving = lit[at] & ~settled[at]
-            if not moving.any():
-                break
-            if not moving.all():
-                at, delta = at[moving], delta[moving]
-                y, env, phi, m, sine_env = (
-                    a[moving] for a in (y, env, phi, m, sine_env))
-        # a row the passes did not settle keeps the linear stage
-        fit = np.where(settled, last, linear)
-        fit[:, ~lit] = math.nan
-        amp, tau = fit[0], fit[1] / fit[0]
-        params[:, blk] = amp, tau, fit[2]
-        if polish and dof > 0:
-            # J = D T, T = [[1, 0, 0], [tau, A, 0], [0, 0, -A tau]]; no
-            # cutoff: a barely determined direction gets a huge variance
-            cov = np.linalg.pinv(gram, rcond=0.0)
-            var = np.stack(((tau * tau * cov[:, 0, 0] - 2.0 * tau
-                             * cov[:, 0, 1] + cov[:, 1, 1]) / amp**2,
-                            cov[:, 2, 2] / (amp * tau) ** 2))
-            sigma[:, blk] = np.where(settled, np.sqrt(
-                np.maximum(var * rss / dof, 0.0)), math.nan)
-    return RowEstimate(*params, *sigma)
+    y = np.atleast_2d(np.asarray(rows, dtype=float))
+    env = np.broadcast_to(envelope, y.shape)
+    phi = np.broadcast_to(phase, y.shape)
+    m = np.broadcast_to(1.0 if steepening is None else steepening, y.shape)
+    n, dof = y.shape[0], y.shape[1] - 3
+    at = np.arange(n)   # the rows still projected
+    delta = np.zeros(n)
+    lit = np.ones(n, dtype=bool)
+    settled = np.zeros(n, dtype=bool)
+    # each row's fit, Gram matrix and rss from the last pass it took
+    last, gram, rss = np.empty((3, n)), np.empty((n, 3, 3)), np.empty(n)
+    sine_env = env   # pass 0 leaves the steepening out
+    for k in range(_MAX_PASSES + 1 if polish else 1):
+        theta = phi + delta[:, None] * m
+        (a0, ac, as_), gram[at], rss[at] = _project(y, np.stack(
+            (env, env * np.cos(theta), sine_env * np.sin(theta)), -1))
+        step = np.arctan2(-as_, ac)
+        delta = delta + step
+        lit[at] &= a0 > 0
+        last[:, at] = a0, np.hypot(ac, as_), delta
+        if k == 0:
+            linear = last.copy()
+            sine_env = env * m
+        else:
+            settled[at] = np.abs(step) <= _PHASE_TOL
+        # a settled or unlit row leaves the passes; the working rows are
+        # copied only when that shrinks them
+        moving = lit[at] & ~settled[at]
+        if not moving.any():
+            break
+        if not moving.all():
+            at, delta = at[moving], delta[moving]
+            y, env, phi, m, sine_env = (
+                a[moving] for a in (y, env, phi, m, sine_env))
+    # a row the passes did not settle keeps the linear stage
+    fit = np.where(settled, last, linear)
+    fit[:, ~lit] = math.nan
+    amp, tau = fit[0], fit[1] / fit[0]
+    sigma = np.full((2, n), math.nan)
+    if polish and dof > 0:
+        # J = D T, T = [[1, 0, 0], [tau, A, 0], [0, 0, -A tau]]; no
+        # cutoff: a barely determined direction gets a huge variance
+        cov = np.linalg.pinv(gram, rcond=0.0)
+        var = np.stack(((tau * tau * cov[:, 0, 0] - 2.0 * tau
+                         * cov[:, 0, 1] + cov[:, 1, 1]) / amp**2,
+                        cov[:, 2, 2] / (amp * tau) ** 2))
+        sigma = np.where(settled, np.sqrt(np.maximum(var * rss / dof, 0.0)),
+                         math.nan)
+    return RowEstimate(amp, tau, fit[2], *sigma)
 
 
 def _extrema(y):
@@ -325,7 +311,6 @@ def _model_pattern(geom: InterferometerGeometry, lambda_s_nm, theta_rad,
 
 def retrieve(sample, reference, geom: InterferometerGeometry, *,
              engine: str = "model", rows=None, polish: bool = True,
-             on_negative: str = "keep",
              sample_visible_index: float = 1.0) -> RetrievalResult:
     """Recover alpha and the idler index offset per signal wavelength.
 
@@ -361,16 +346,15 @@ def retrieve(sample, reference, geom: InterferometerGeometry, *,
             raise AxisMismatchError(
                 "sample and reference do not share wavelength/angle axes")
         if engine == "model":
-            # one block of rows at a time: the template and the row copy
-            # stay block-sized, and each block is one of fit_rows_model
-            est = np.empty((len(fields(RowEstimate)), row_idx.size))
+            # one block of rows at a time: the template, the row copy and
+            # fit_rows_model's design matrices stay block-sized
+            est = np.empty((len(RowEstimate._fields), row_idx.size))
             for blk in row_blocks(row_idx.size):
                 phase, envelope, steepening = _model_pattern(
                     geom, lam_s[blk], axes.angle_rad, visible)
-                fit = fit_rows_model(m.intensity[row_idx[blk]], envelope,
-                                     phase, steepening, polish=polish)
-                est[:, blk] = [getattr(fit, f.name)
-                               for f in fields(RowEstimate)]
+                est[:, blk] = fit_rows_model(m.intensity[row_idx[blk]],
+                                             envelope, phase, steepening,
+                                             polish=polish)
             estimates.append(RowEstimate(*est))
         else:
             estimates.append(fit_rows_extrema(m.intensity[row_idx]))
@@ -382,8 +366,7 @@ def retrieve(sample, reference, geom: InterferometerGeometry, *,
     vis_sigma = vis * np.hypot(est_s.sigma_contrast / est_s.contrast,
                                est_r.sigma_contrast / est_r.contrast)
 
-    alpha = absorption_from_visibility(vis, geom.gap_length_cm,
-                                       on_negative=on_negative)
+    alpha = absorption_from_visibility(vis, geom.gap_length_cm)
     alpha_sigma = vis_sigma / (vis * geom.gap_length_cm)
     offset = index_offset_from_phase(dphi, lam_i, geom.gap_length_cm)
     offset_sigma = (lam_i * 1e-7) / (2.0 * math.pi * geom.gap_length_cm) \
@@ -396,8 +379,8 @@ def retrieve(sample, reference, geom: InterferometerGeometry, *,
     return RetrievalResult(
         wavelength_nm=lam_s, idler_wavelength_nm=lam_i,
         idler_nu_cm=nu_cm_from_lambda_nm(lam_i), visibility=vis,
-        alpha_cm=np.atleast_1d(alpha), alpha_sigma_cm=alpha_sigma,
-        phase_shift_rad=dphi, index_offset=np.atleast_1d(offset),
+        alpha_cm=alpha, alpha_sigma_cm=alpha_sigma,
+        phase_shift_rad=dphi, index_offset=offset,
         index_offset_sigma=offset_sigma, rows=row_idx, meta=meta,
     )
 

@@ -2,6 +2,7 @@ import configparser
 import dataclasses
 import json
 import math
+import pathlib
 import re
 import shutil
 import struct
@@ -13,15 +14,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nlispec import data_path
-from nlispec.cli import main
+from nlispec.cli import _COMMANDS, main
 from nlispec.config import (build_axes, build_gas, build_geometry,
                             build_vacuum, load_run_config)
 from nlispec.dispersion import gas_index
 from nlispec.errors import MapFormatError
 from nlispec.interferometer import MapAxes, simulate_map
 from nlispec.mapio import IntensityMap, load_map, save_map
-from nlispec.retrieval import (_model_pattern, load_result_csv, retrieve,
-                               save_result_csv)
+from nlispec.retrieval import (RetrievalResult, _model_pattern,
+                               load_result_csv, retrieve, save_result_csv)
 
 CFG = """\
 [crystal]
@@ -268,6 +269,30 @@ def test_exit_code_incompatible_axes(workdir, tmp_path, capsys):
     assert "inconsistent" in capsys.readouterr().err
 
 
+def _readme_synopsis() -> dict:
+    """Long options of each subcommand in README's "Command line" block."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    options, command = {}, None
+    for line in block.splitlines():
+        if line.startswith("nlispec "):
+            command = line.split()[1]
+            options[command] = set()
+        if command:
+            options[command].update(re.findall(r"--[a-z][a-z-]*", line))
+    return options
+
+
+def test_readme_synopsis_matches_the_cli(capsys):
+    synopsis = _readme_synopsis()
+    assert set(synopsis) == set(_COMMANDS)
+    for command, documented in synopsis.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        shown = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert shown - {"--help", "--output"} == documented, command
+
+
 def test_console_script_version():
     out = subprocess.run([sys.executable, "-m", "nlispec.cli", "--version"],
                          capture_output=True, text=True)
@@ -361,6 +386,34 @@ def test_info_reads_a_long_csv_body_as_it_streams(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{path}: not UTF-8 text" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", ["   ", "\t", "  # note"],
+                         ids=["spaces", "tab", "indented_comment"])
+def test_text_tables_skip_whitespace_and_indented_comment_lines(tmp_path,
+                                                                extra):
+    rng = np.random.default_rng(9)
+    axes = MapAxes(np.linspace(600.0, 603.0, 4), np.linspace(-1e-3, 1e-3, 3))
+    m = IntensityMap(axes, rng.uniform(0.1, 2.0, axes.shape))
+    result = RetrievalResult(*rng.uniform(0.1, 2.0, (9, 4)),
+                             rows=np.arange(4))
+    map_path, table_path = tmp_path / "m.csv", tmp_path / "r.csv"
+    save_map(map_path, m)
+    save_result_csv(table_path, result)
+    for path in (map_path, table_path):
+        lines = path.read_text().split("\n")
+        lines.insert(4, extra)   # between the first two body rows
+        path.write_text("\n".join(lines))
+
+    back = load_map(map_path)
+    np.testing.assert_array_equal(back.intensity, m.intensity)
+    np.testing.assert_array_equal(back.axes.wavelength_nm, axes.wavelength_nm)
+    assert main(["info", str(map_path)]) == 0
+    table = load_result_csv(table_path)
+    np.testing.assert_array_equal(table.rows, result.rows)
+    np.testing.assert_array_equal(table.alpha_cm, result.alpha_cm)
+    np.testing.assert_array_equal(table.index_offset_sigma,
+                                  result.index_offset_sigma)
 
 
 def test_info_rejects_nan_axis_value(tmp_path, capsys):

@@ -8,10 +8,9 @@ import weakref
 import numpy as np
 import pytest
 
-from nlispec.errors import AxisMismatchError, MapFormatError
+from nlispec.errors import MapFormatError
 from nlispec.interferometer import MapAxes
-from nlispec.mapio import (IntensityMap, load_map, require_same_axes,
-                           save_map, write_text_table)
+from nlispec.mapio import IntensityMap, load_map, save_map, write_text_table
 
 
 @pytest.fixture
@@ -192,9 +191,16 @@ def _blank_and_comment_first(lines):
     lines[3:3] = ["", "# a comment"]  # they count as file lines
 
 
+def _whitespace_and_indented_comment_first(lines):
+    _not_a_number(lines)
+    lines[3:3] = ["   ", "\t", "  # note"]
+
+
 @pytest.mark.parametrize("edit, line", [
     (_not_a_number, 6), (_short_row, 6), (_blank_and_comment_first, 8),
-], ids=["not_a_number", "short_row", "after_blank_and_comment"])
+    (_whitespace_and_indented_comment_first, 9),
+], ids=["not_a_number", "short_row", "after_blank_and_comment",
+        "after_whitespace_and_indented_comment"])
 def test_csv_bad_cell_names_the_file_line(tmp_path, sample_map, edit, line):
     p = tmp_path / "m.csv"
     save_map(p, sample_map)
@@ -271,16 +277,6 @@ def test_intensity_map_validation(sample_map):
     bad[0, 0] = np.inf
     with pytest.raises(ValueError, match="finite"):
         IntensityMap(axes, bad)
-
-
-def test_require_same_axes(sample_map):
-    other = IntensityMap(sample_map.axes, np.zeros(sample_map.axes.shape))
-    require_same_axes(sample_map, other)
-    shifted = MapAxes(sample_map.axes.wavelength_nm + 0.5,
-                      sample_map.axes.angle_rad)
-    third = IntensityMap(shifted, np.zeros(shifted.shape))
-    with pytest.raises(AxisMismatchError):
-        require_same_axes(sample_map, third)
 
 
 def test_meta_must_be_serializable(tmp_path, sample_map):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from nlispec.errors import AxisMismatchError, NegativeAbsorptionError
+from nlispec.errors import AxisMismatchError
 from nlispec.interferometer import MapAxes, simulate_map, with_gaussian_noise
 from nlispec.mapio import IntensityMap, save_map
 from nlispec.retrieval import (
@@ -27,13 +27,9 @@ def test_absorption_visibility_round_trip():
 
 
 def test_absorption_negative_policies():
-    with pytest.raises(NegativeAbsorptionError):
-        absorption_from_visibility(1.02, 2.5)
-    assert absorption_from_visibility(1.02, 2.5, on_negative="clip") == 0.0
-    kept = absorption_from_visibility(1.02, 2.5, on_negative="keep")
+    # V > 1 keeps its negative absorption; only V <= 0 is rejected
+    kept = absorption_from_visibility(1.02, 2.5)
     assert kept == pytest.approx(-math.log(1.02) / 2.5, rel=1e-12)
-    with pytest.raises(ValueError):
-        absorption_from_visibility(0.5, 2.5, on_negative="whatever")
     with pytest.raises(ValueError):
         absorption_from_visibility(-0.1, 2.5)
 
@@ -365,11 +361,13 @@ def test_retrieve_row_subset(map_pair):
 
 def test_retrieve_requires_matching_axes(map_pair):
     geom, sample, reference = map_pair
-    other_axes = MapAxes(sample.axes.wavelength_nm + 1.0,
-                         sample.axes.angle_rad)
-    other = IntensityMap(other_axes, reference.intensity)
-    with pytest.raises(AxisMismatchError):
-        retrieve(sample, other, geom)
+    # same shape, wavelengths shifted
+    for shift_nm in (1.0, 0.5):
+        other_axes = MapAxes(sample.axes.wavelength_nm + shift_nm,
+                             sample.axes.angle_rad)
+        other = IntensityMap(other_axes, reference.intensity)
+        with pytest.raises(AxisMismatchError):
+            retrieve(sample, other, geom)
     with pytest.raises(ValueError):
         retrieve(sample, reference, geom, engine="fourier")
 
@@ -395,10 +393,9 @@ def test_retrieve_reference_path_with_other_axes(map_pair, tmp_path,
 
 def test_retrieve_negative_absorption_policies(map_pair):
     geom, sample, reference = map_pair
-    # swap roles: "sample" now has higher contrast than the "reference"
-    with pytest.raises(NegativeAbsorptionError):
-        retrieve(reference, sample, geom, on_negative="raise")
-    kept = retrieve(reference, sample, geom, on_negative="keep")
+    # swap roles: "sample" now has higher contrast than the "reference",
+    # and every row keeps its negative absorption
+    kept = retrieve(reference, sample, geom)
     assert np.all(kept.alpha_cm < 0)
 
 
