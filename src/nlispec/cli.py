@@ -85,16 +85,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
+    for option, value in (("--noise", args.noise), ("--seed", args.seed)):
+        broken = None if value is None else _nonnegative(value)
+        if broken:
+            raise ConfigError(f"{broken}, got {value}", key=option)
     cfg = load_run_config(args.config)
     geom = build_geometry(cfg)
     axes = build_axes(cfg)
     gas = build_vacuum(cfg) if args.vacuum else build_gas(cfg)
     intensity = simulate_map(geom, gas, axes)
 
-    for option, value in (("--noise", args.noise), ("--seed", args.seed)):
-        broken = None if value is None else _nonnegative(value)
-        if broken:
-            raise ConfigError(f"{broken}, got {value}", key=option)
     sigma_rel = cfg.noise_sigma_rel if args.noise is None else args.noise
     seed = cfg.noise_seed if args.seed is None else args.seed
     if sigma_rel > 0:

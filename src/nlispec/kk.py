@@ -36,7 +36,9 @@ import numpy as np
 _PREFACTOR = 1.0 / (2.0 * np.pi**2)
 
 
-def _checked_grid(nu_grid_cm) -> tuple[np.ndarray, float]:
+def checked_uniform_grid(nu_grid_cm) -> tuple[np.ndarray, float]:
+    """The grid as a float array and its step; ValueError unless it is
+    1-d, positive, increasing and uniform, with at least 3 points."""
     nu = np.asarray(nu_grid_cm, dtype=float)
     if nu.ndim != 1 or nu.size < 3:
         raise ValueError("wavenumber grid must be 1-d with at least 3 points")
@@ -69,7 +71,7 @@ def index_change_weights(nu_grid_cm) -> np.ndarray:
     propagation: var(dn_i) = sum_j W_ij^2 var(alpha_j) for independent
     alpha errors.
     """
-    nu, h = _checked_grid(nu_grid_cm)
+    nu, h = checked_uniform_grid(nu_grid_cm)
     toeplitz, hankel = _kernels(nu, h)
     idx = np.arange(nu.size)
     w = (toeplitz[idx[None, :] - idx[:, None] + nu.size - 1]
@@ -79,7 +81,7 @@ def index_change_weights(nu_grid_cm) -> np.ndarray:
 
 def index_change_from_absorption(alpha_cm, nu_grid_cm, baseline: float = 0.0):
     """Index change n(nu) - 1 implied by alpha(nu) within the window."""
-    nu, h = _checked_grid(nu_grid_cm)
+    nu, h = checked_uniform_grid(nu_grid_cm)
     alpha = np.asarray(alpha_cm, dtype=float)
     if alpha.shape != nu.shape:
         raise ValueError(f"alpha shape {alpha.shape} != grid shape {nu.shape}")

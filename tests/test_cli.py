@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nlispec import data_path
+from nlispec import cli, data_path
 from nlispec.cli import _COMMANDS, main
 from nlispec.config import (build_axes, build_gas, build_geometry,
                             build_vacuum, load_run_config)
@@ -501,6 +501,22 @@ def test_exit_code_noise_out_of_range(tmp_path, option, edit):
     assert out.returncode == 2, out.stderr
     assert "config error" in out.stderr
     assert "Traceback" not in out.stderr
+    assert not (tmp_path / "x.nlm").exists()
+
+
+@pytest.mark.parametrize("option", [("--noise", "-1"), ("--noise", "nan"),
+                                    ("--seed", "-1")])
+def test_bad_noise_option_fails_before_the_gas_is_built(tmp_path, monkeypatch,
+                                                        capsys, option):
+    def no_gas(cfg):
+        pytest.fail("the gas was built before --noise/--seed were checked")
+
+    monkeypatch.setattr(cli, "build_gas", no_gas)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CFG)
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "x.nlm"),
+                 *option]) == 2
+    assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "x.nlm").exists()
 
 
