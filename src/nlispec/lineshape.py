@@ -416,7 +416,8 @@ def _core_halfwidth(scale, y, step, top):
     takes on the grid (inf where that budget underflows to 0).
 
     Lorentz wing: the P-th derivative of g / (pi (x^2 + g^2)) is at most
-    (P + 1)! g / (pi rho^(P+2)), rho^2 = x^2 + g^2.  Doppler core: for
+    P! min(1, (P + 1) g / rho) / (pi rho^(P+1)), rho^2 = x^2 + g^2; the
+    core ends where either form meets the budget.  Doppler core: for
     t = x / sigma >= 10, the P-th derivative of the unit-area Gaussian
     is at most t^P exp(-t^2 / 2) / (sigma^(P+1) sqrt(2 pi)); t solves
     that bound by fixed point.
@@ -425,8 +426,9 @@ def _core_halfwidth(scale, y, step, top):
     sigma = scale / math.sqrt(2.0)
     allowed = _ALPHA_BUDGET * top
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rho = ((_ORDER + 1) * _OMEGA * step ** _ORDER * g
-               / (math.pi * allowed)) ** (1.0 / (_ORDER + 2))
+        wing = _OMEGA * step ** _ORDER / (math.pi * allowed)
+        rho = np.fmin(wing ** (1.0 / (_ORDER + 1)),      # 0 * inf is NaN
+                      ((_ORDER + 1) * g * wing) ** (1.0 / (_ORDER + 2)))
         const = np.log(_OMEGA / (math.factorial(_ORDER) * allowed * sigma
                                  * math.sqrt(2.0 * math.pi)))
         x_lorentz = np.sqrt(np.maximum(rho * rho - g * g, 0.0))

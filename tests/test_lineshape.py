@@ -391,7 +391,7 @@ def _oracle_case(case):
         return (demo, default_line_grid(demo, 0.3, 300.0, mm,
                                         wing_cutoff_cm=60.0), 0.3, 60.0)
     if case == "760_torr":
-        return demo, np.linspace(2240.0, 2460.0, 4401), 760.0, 60.0
+        return demo, gas_grid(cfg, demo), 760.0, 60.0
     if case == "zero_lorentz":
         lines = [SpectralLine(2340.0 + 3.3 * k, 1e-19, 0.0, 0.0, 100.0, 0.75)
                  for k in range(5)]
