@@ -29,8 +29,7 @@ import numpy as np
 
 from .dispersion import GasIndexModel, load_uniaxial_crystal
 from .errors import ConfigError
-from .gas import (GasState, line_grid_step, nu_cm_from_lambda_nm,
-                  uniform_grid)
+from .gas import GasState, nu_cm_from_lambda_nm, uniform_grid
 from .interferometer import (
     InterferometerGeometry,
     MapAxes,
@@ -38,7 +37,7 @@ from .interferometer import (
     detector_angle_axis,
     idler_wavelength_nm,
 )
-from .lineshape import load_line_csv, load_par_file
+from .lineshape import line_grid_step, load_line_csv, load_par_file
 from .resources import data_path
 
 

@@ -136,9 +136,6 @@ class GasIndexModel:
             raise ValueError("reference pressure and temperature must be positive")
 
 
-VACUUM = None  # sentinel: gas_index(None, ...) == 1.0 for any P, T
-
-
 def gas_index(model: GasIndexModel | None, p_torr: float, t_k: float) -> float:
     """Gas refractive index at pressure P [Torr] and temperature T [K]."""
     if p_torr < 0:

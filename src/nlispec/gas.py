@@ -28,7 +28,7 @@ from .dispersion import GasIndexModel, gas_index
 from .errors import ValidityRangeError
 from .kk import index_change_from_absorption
 from .lineshape import (DEFAULT_WING_CUTOFF_CM, absorption_coefficient,
-                        doppler_hwhm, lorentz_hwhm)
+                        line_grid_step)
 
 
 def nu_cm_from_lambda_nm(lambda_nm):
@@ -144,13 +144,6 @@ class GasState:
 
 # one cap for every idler grid; the FFT KK transform takes tens of ms here
 MAX_GRID_POINTS = 200001
-
-
-def line_grid_step(lines, p_torr, t_k, molar_mass_g, x_self=1.0) -> float:
-    """Grid step resolving every line: an eighth of the narrowest HWHM."""
-    return min(max(doppler_hwhm(ln.nu0_cm, t_k, molar_mass_g),
-                   lorentz_hwhm(ln, p_torr, t_k, x_self))
-               for ln in lines) / 8.0
 
 
 def uniform_grid(lo, hi, step, hint: str) -> np.ndarray:

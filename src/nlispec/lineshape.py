@@ -9,16 +9,18 @@ Units, fixed throughout this module:
 The Voigt profile is the real part of the Faddeeva function
 w(z) = exp(-z^2) erfc(-iz) at z = x + iy, y >= 0, evaluated in numpy by
 one routine, `_voigt_into`, for both `voigt_profile` and
-`absorption_coefficient`: Weideman's 32-term rational approximation for
-|z| < 50 (J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1497, 1994) and
-the asymptotic series i/(sqrt(pi) z) sum_k (2k-1)!!/(2z^2)^k, k <= 4,
-beyond, in real arithmetic; its first three terms alone wherever they
-reach 1e-14 of the peak.  The error is about 4e-14 of the profile peak,
-absolute; the pure-Gaussian limit (zero Lorentz width) is evaluated
-exactly as exp(-x^2).  Relative error is therefore large only far out
-in a nearly Gaussian tail, where exp(-x^2) is below ~1e-14 of the peak.
-Each point takes its branch by its own value, so its profile does not
-depend on which other points share the call.
+`absorption_coefficient`, with two rules.  Far from the line center,
+where |z| >= 50 and the first three terms of the asymptotic series
+i/(sqrt(pi) z) sum_k (2k-1)!!/(2z^2)^k reach 1e-14 of the peak, it is
+their real part, a polynomial in 1/|z|^2 evaluated in place.  Every
+other point takes Weideman's 32-term rational approximation
+(J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1497, 1994), or exactly
+exp(-x^2) in the pure-Gaussian limit (zero Lorentz width).  The error
+is about 4e-14 of the profile peak, absolute; relative error is
+therefore large only far out in a nearly Gaussian tail, where exp(-x^2)
+is below ~1e-14 of the peak.  Each point takes its rule by its own
+value, so its profile does not depend on which other points share the
+call.
 
 `absorption_coefficient` sums the lines on two grids, the multi-grid
 line sum of line-by-line codes (S. A. Clough et al., JQSRT 91, 233,
@@ -62,6 +64,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,64 +100,30 @@ def _weideman_coefficients(n: int) -> tuple[float, np.ndarray]:
 
 
 _W_SCALE, _W_COEFFS = _weideman_coefficients(32)
-_W_FAR = 50.0   # |z| from which the asymptotic series takes over
+# |z| below which no point takes the asymptotic series, whatever its y:
+# the series lacks the exp(-x'^2) of a nearly Gaussian core and diverges
+# at small |z|
+_W_FAR = 50.0
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _far_series(u, y, rho):
-    """Re w(u + iy) for |z| >= 50, with rho = |z|^2, in real arithmetic.
-
-    The asymptotic series i/(sqrt(pi) z) sum_k (2k-1)!!/(2z^2)^k, k <= 4,
-    has real part sum_k c_k a_k / sqrt(pi) with a_k = sin((2k+1) theta)
-    / |z|^(2k+1), theta = arg z, and c_k = (2k-1)!!/2^k.  The a_k follow
-    a_(k+1) = 2 cos(2 theta) a_k / |z|^2 - a_(k-1) / |z|^4 from
-    a_0 = y / rho and a_(-1) = -y.
-    """
-    d = 1.0 / (rho * rho)
-    c = u * u
-    c -= y * y
-    c *= 2.0 * d
-    a_prev, a = -y, y / rho
-    total = a.copy()
-    for coef in (0.5, 0.75, 1.875, 6.5625):
-        a, a_prev = c * a - d * a_prev, a
-        total += coef * a
-    total /= _SQRT_PI
-    return total
-
-
-def _weideman(z, w, r, t, u):
-    """Weideman's w(z) for |z| < 50 into `w`; overwrites `z`, `r`, `t`, `u`.
-
-    With d = L - iz and Z = (L + iz)/d: w = 2 p(Z)/d^2 + 1/(sqrt(pi) d),
-    p the 32-term polynomial by Horner's rule, one `out=` ufunc per
-    operation.  No product is written over one of its factors: numpy
-    rounds such an in-place complex product of a single element
-    differently, and the profile of a point must not depend on how
-    many points share its call.
-    """
-    np.multiply(1j, z, out=t)
-    np.subtract(_W_SCALE, t, out=r)
-    np.add(_W_SCALE, t, out=t)
-    np.divide(t, r, out=t)
-    p, q = w, u
-    p.fill(_W_COEFFS[0])
+def _weideman(z):
+    """Weideman's w(z): with d = L - iz and Z = (L + iz)/d,
+    w = 2 p(Z)/d^2 + 1/(sqrt(pi) d), p the 32-term polynomial by
+    Horner's rule."""
+    iz = 1j * z
+    d = _W_SCALE - iz
+    big_z = (_W_SCALE + iz) / d
+    p = np.full_like(big_z, _W_COEFFS[0])
     for c in _W_COEFFS[1:]:
-        np.multiply(p, t, out=q)
-        np.add(q, c, out=q)
-        p, q = q, p
-    np.multiply(2.0, p, out=q)
-    np.multiply(r, r, out=t)
-    np.divide(q, t, out=q)
-    np.multiply(_SQRT_PI, r, out=t)
-    np.divide(1.0, t, out=t)
-    np.add(q, t, out=w)
+        p = p * big_z + c
+    return 2.0 * p / (d * d) + 1.0 / (_SQRT_PI * d)
 
 
-# From rho = |z|^2 >= (1.3125e15 y (y + 1))^(1/4) on, the far series'
-# first three terms are within 1e-14 of the peak: the fourth is at most
-# 13.125 y / (sqrt(pi) |z|^8), and the peak Re w(iy) >= 1 / (sqrt(pi)
-# (y + 1)).
+# From rho = |z|^2 >= (1.3125e15 y (y + 1))^(1/4) on, the asymptotic
+# series' first three terms are within 1e-14 of the peak: the fourth is
+# at most 13.125 y / (sqrt(pi) |z|^8), and the peak Re w(iy) >= 1 /
+# (sqrt(pi) (y + 1)).
 _THREE_TERMS = 1.3125e15
 
 
@@ -163,18 +133,18 @@ def _voigt_into(x, scale, y, work=None) -> None:
 
     `scale` is sigma sqrt(2) [cm^-1] and `y` the Lorentz HWHM over
     `scale`; both broadcast against `x`, so one call can hold many
-    lines.  With x' = x / scale, z = x' + iy and v = 1 / |z|^2, the far
-    series' first three terms are the polynomial
+    lines.  With x' = x / scale, z = x' + iy and v = 1 / |z|^2, the
+    first three terms of the asymptotic series
+    i/(sqrt(pi) z) sum_k (2k-1)!!/(2z^2)^k have the real part
 
         Re w = y v (1 + 3/2 v + (15/4 - 2 y^2) v^2 - 15 y^2 v^3
                     + 12 y^4 v^4) / sqrt(pi),
 
     evaluated in place over the whole array: this also gives an infinite
-    x' the profile's limit 0, and leaves NaN NaN.  The points where
-    three terms do not reach 1e-14 of the peak are gathered and
-    overwritten, each by its own value alone: exp(-x'^2) where y = 0 and
-    |z| < 50, the five-term far series where |z| >= 50, Weideman's
-    approximation elsewhere.  `work`, if given, is a scratch array of at
+    x' the profile's limit 0, and leaves NaN NaN.  Two rules: that
+    polynomial wherever it is within 1e-14 of the peak and |z| >= 50;
+    every other point is gathered and overwritten by `_near`, each by
+    its own value alone.  `work`, if given, is a scratch array of at
     least x.size floats.
     """
     np.divide(x, scale, out=x)
@@ -187,13 +157,7 @@ def _voigt_into(x, scale, y, work=None) -> None:
     rho += y2
     close = rho < np.maximum(_W_FAR * _W_FAR,
                              np.sqrt(np.sqrt(_THREE_TERMS * y * (y + 1.0))))
-    if close.any():
-        u, yc, rc = x[close], np.broadcast_to(y, x.shape)[close], rho[close]
-        near = rc < _W_FAR * _W_FAR
-        far = ~near
-        exact = np.empty(u.size)
-        exact[far] = _far_series(u[far], yc[far], rc[far])
-        exact[near] = _near(u[near], yc[near])
+    exact = _near(x[close], np.broadcast_to(y, x.shape)[close])
     # the close points, which are overwritten, may overflow here
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         v = np.divide(1.0, rho, out=rho)
@@ -204,22 +168,15 @@ def _voigt_into(x, scale, y, work=None) -> None:
             x += c
         x *= v
         x *= y / _SQRT_PI
-    if close.any():
-        x[close] = exact
+    x[close] = exact
     np.divide(x, scale * _SQRT_PI, out=x)
 
 
 def _near(u, y):
-    """Re w(u + iy) for |z| < 50: exp(-u^2) where y = 0, else Weideman's."""
+    """Re w(u + iy): exp(-u^2) where y = 0, else Weideman's."""
     out = np.exp(-u * u)
     lorentz = y > 0
-    if lorentz.any():
-        z, w, r, t, v = np.empty((5, np.count_nonzero(lorentz)),
-                                 dtype=complex)
-        z.real = u[lorentz]
-        z.imag = y[lorentz]
-        _weideman(z, w, r, t, v)
-        out[lorentz] = w.real
+    out[lorentz] = _weideman(u[lorentz] + 1j * y[lorentz]).real
     return out
 
 
@@ -250,6 +207,28 @@ class SpectralLine:
             raise ValueError(f"non-finite width exponent {self.n_air}")
 
 
+class LineArrays(NamedTuple):
+    """The fields of a line list as arrays, one entry per line.
+
+    `line_strength` and `lorentz_hwhm` take it in place of one
+    `SpectralLine` and return one value per line.
+    """
+
+    nu0_cm: np.ndarray
+    strength: np.ndarray
+    gamma_air: np.ndarray
+    gamma_self: np.ndarray
+    elow_cm: np.ndarray
+    n_air: np.ndarray
+
+    @classmethod
+    def of(cls, lines) -> "LineArrays":
+        """The arrays of an iterable of `SpectralLine`s, possibly empty."""
+        table = np.array(list(map(attrgetter(*cls._fields), lines)),
+                         dtype=float).reshape(-1, len(cls._fields))
+        return cls(*np.ascontiguousarray(table.T))
+
+
 def number_density(p_torr: float, t_k: float) -> float:
     """Ideal-gas molecule density [cm^-3] at P [Torr], T [K]."""
     if p_torr < 0:
@@ -259,23 +238,33 @@ def number_density(p_torr: float, t_k: float) -> float:
     return p_torr * TORR_TO_BARYE / (KB_ERG_K * t_k)
 
 
-def doppler_hwhm(nu0_cm: float, t_k: float, molar_mass_g: float) -> float:
-    """Doppler HWHM [cm^-1]: (nu0/c) * sqrt(2 ln2 kT / m)."""
-    if t_k <= 0 or molar_mass_g <= 0 or nu0_cm <= 0:
+def doppler_hwhm(nu0_cm, t_k: float, molar_mass_g: float):
+    """Doppler HWHM [cm^-1]: (nu0/c) * sqrt(2 ln2 kT / m), at one line
+    center or an array of them."""
+    if t_k <= 0 or molar_mass_g <= 0 or np.any(nu0_cm <= 0):
         raise ValueError("center, temperature and molar mass must be positive")
     m_g = molar_mass_g / AVOGADRO
     return (nu0_cm / C_CM_S) * math.sqrt(2.0 * math.log(2.0) * KB_ERG_K * t_k / m_g)
 
 
-def lorentz_hwhm(line: SpectralLine, p_torr: float, t_k: float,
-                 x_self: float = 1.0) -> float:
-    """Pressure-broadened HWHM [cm^-1] at total pressure P with self fraction x."""
+def lorentz_hwhm(line: SpectralLine | LineArrays, p_torr: float, t_k: float,
+                 x_self: float = 1.0):
+    """Pressure-broadened HWHM [cm^-1] at total pressure P with self
+    fraction x, of one line or of each of `LineArrays`."""
     if not 0.0 <= x_self <= 1.0:
         raise ValueError(f"self fraction {x_self} outside [0, 1]")
     if p_torr < 0 or t_k <= 0:
         raise ValueError("pressure must be >= 0 and temperature > 0")
     gamma_ref = x_self * line.gamma_self + (1.0 - x_self) * line.gamma_air
     return (p_torr / ATM_TORR) * (T_REF_K / t_k) ** line.n_air * gamma_ref
+
+
+def line_grid_step(lines, p_torr, t_k, molar_mass_g, x_self=1.0) -> float:
+    """Grid step resolving every line: an eighth of the narrowest HWHM."""
+    fields = LineArrays.of(lines)
+    widths = np.maximum(doppler_hwhm(fields.nu0_cm, t_k, molar_mass_g),
+                        lorentz_hwhm(fields, p_torr, t_k, x_self))
+    return float(widths.min()) / 8.0
 
 
 def voigt_profile(delta_nu_cm, gamma_doppler_cm: float, gamma_lorentz_cm: float):
@@ -299,9 +288,10 @@ def _profile_scale(gamma_doppler_cm):
     return gamma_doppler_cm / _SQRT_2LN2 * math.sqrt(2.0)
 
 
-def line_strength(line: SpectralLine, t_k: float,
-                  partition_ratio: float = 1.0) -> float:
-    """Strength rescaled from 296 K to T.
+def line_strength(line: SpectralLine | LineArrays, t_k: float,
+                  partition_ratio: float = 1.0):
+    """Strength rescaled from 296 K to T, of one line or of each of
+    `LineArrays`.
 
     Applies the Boltzmann population factor of the lower state and the
     stimulated-emission factor; `partition_ratio` is Q(296 K)/Q(T) and
@@ -312,9 +302,9 @@ def line_strength(line: SpectralLine, t_k: float,
         raise ValueError(f"non-positive temperature {t_k} K")
     if partition_ratio <= 0:
         raise ValueError(f"non-positive partition ratio {partition_ratio}")
-    boltz = math.exp(-C2_CM_K * line.elow_cm * (1.0 / t_k - 1.0 / T_REF_K))
-    stim = -math.expm1(-C2_CM_K * line.nu0_cm / t_k)
-    stim_ref = -math.expm1(-C2_CM_K * line.nu0_cm / T_REF_K)
+    boltz = np.exp(-C2_CM_K * line.elow_cm * (1.0 / t_k - 1.0 / T_REF_K))
+    stim = -np.expm1(-C2_CM_K * line.nu0_cm / t_k)
+    stim_ref = -np.expm1(-C2_CM_K * line.nu0_cm / T_REF_K)
     return line.strength * partition_ratio * boltz * stim / stim_ref
 
 
@@ -339,14 +329,11 @@ def absorption_coefficient(lines, nu_grid_cm, p_torr: float, t_k: float,
     if not wing_cutoff_cm > 0:
         raise ValueError(f"non-positive wing cutoff {wing_cutoff_cm}")
     dens = number_density(p_torr, t_k)
-    lines = list(lines)
-    nu0 = np.array([ln.nu0_cm for ln in lines])
-    strength = dens * np.array([line_strength(ln, t_k, partition_ratio)
-                                for ln in lines])
-    scale = _profile_scale(np.array([doppler_hwhm(ln.nu0_cm, t_k, molar_mass_g)
-                                    for ln in lines]))
-    y = np.array([lorentz_hwhm(ln, p_torr, t_k, x_self)
-                  for ln in lines]) / scale
+    fields = LineArrays.of(lines)
+    nu0 = fields.nu0_cm
+    strength = dens * line_strength(fields, t_k, partition_ratio)
+    scale = _profile_scale(doppler_hwhm(nu0, t_k, molar_mass_g))
+    y = lorentz_hwhm(fields, p_torr, t_k, x_self) / scale
     lo, hi = _line_windows(nu, nu0, wing_cutoff_cm)
     alpha = np.zeros_like(nu)
     two_grid = _two_grid_sum(alpha, nu, h, nu0, strength, scale, y, lo, hi,

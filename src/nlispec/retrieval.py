@@ -22,13 +22,13 @@ and adds atan2(-as, ac) to d.  These columns span the model's Jacobian,
 so a pass is an undamped Gauss-Newton step whose fixed point is the
 least-squares optimum; it is exact on noiseless model data.  The
 extrema engine is model-free: it flattens every row with a low-order
-polynomial envelope (one least-squares solve for all rows) and reads
-the contrast from quadratically refined local extrema, found for all
-rows at once.  It retrieves absorption only (no phase) and serves as an
-independent cross-check on the model route.  Both engines take the rows
-together and return NaN in every field of a row they cannot read (a
-dim row, or too few resolved fringes) while reading the rest; neither
-raises for a bad row.
+polynomial envelope (one least-squares solve for all rows of a block)
+and reads the contrast from quadratically refined local extrema, found
+for the block's rows at once.  It retrieves absorption only (no phase)
+and serves as an independent cross-check on the model route.  Both
+engines fit one block of rows at a time and return NaN in every field
+of a row they cannot read (a dim row, or too few resolved fringes)
+while reading the rest; neither raises for a bad row.
 
 Because both rows of a pair are fitted identically, estimator bias is
 common mode: it divides out of V and subtracts out of dphi.
@@ -345,19 +345,19 @@ def retrieve(sample, reference, geom: InterferometerGeometry, *,
         elif not axes.close_to(m.axes):
             raise AxisMismatchError(
                 "sample and reference do not share wavelength/angle axes")
-        if engine == "model":
-            # one block of rows at a time: the template, the row copy and
-            # fit_rows_model's design matrices stay block-sized
-            est = np.empty((len(RowEstimate._fields), row_idx.size))
-            for blk in row_blocks(row_idx.size):
+        # one block of rows at a time: the row copy, the template and
+        # the fit's work arrays stay block-sized
+        est = np.empty((len(RowEstimate._fields), row_idx.size))
+        for blk in row_blocks(row_idx.size):
+            if engine == "model":
                 phase, envelope, steepening = _model_pattern(
                     geom, lam_s[blk], axes.angle_rad, visible)
                 est[:, blk] = fit_rows_model(m.intensity[row_idx[blk]],
                                              envelope, phase, steepening,
                                              polish=polish)
-            estimates.append(RowEstimate(*est))
-        else:
-            estimates.append(fit_rows_extrema(m.intensity[row_idx]))
+            else:
+                est[:, blk] = fit_rows_extrema(m.intensity[row_idx[blk]])
+        estimates.append(RowEstimate(*est))
         metas.append(m.meta)
     est_s, est_r = estimates
     dphi = est_s.phase_rad - est_r.phase_rad

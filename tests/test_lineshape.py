@@ -9,6 +9,7 @@ from nlispec.errors import LineParseError
 from nlispec.gas import default_line_grid
 from nlispec.lineshape import (
     C2_CM_K,
+    LineArrays,
     SpectralLine,
     _line_windows,
     absorption_coefficient,
@@ -198,7 +199,8 @@ def test_voigt_profile_commutes_with_permutation(gl):
 
 @pytest.mark.parametrize("gl", [0.0, 1e-4, 2e-3, 0.05, 1.0])
 def test_voigt_profile_is_zero_at_infinite_detuning(gl):
-    # 1.0 puts y past 50, where every finite point takes the far series
+    # 1.0 puts y past 50: each finite point takes Weideman's approximation
+    # or, far out, the three-term polynomial
     finite = np.array([-80.0, -0.02, 0.0, 1e-3, 0.5, 3e3])
     x = np.concatenate([finite, [np.inf, -np.inf, np.nan, np.inf]])
     p = np.random.default_rng(3).permutation(x.size)
@@ -246,6 +248,21 @@ def test_line_strength_at_high_lower_state_energy(elow, t):
             / math.expm1(-C2_CM_K * 2349.0 / 296.0))
     assert line_strength(line, t) == pytest.approx(1e-19 * boltz * stim,
                                                    rel=1e-12)
+
+
+def test_line_arrays_match_per_line_calls():
+    lines = load_line_csv(data_path("co2_synthetic_lines.csv"))
+    fields = LineArrays.of(lines)
+    assert np.array_equal(fields.elow_cm, [ln.elow_cm for ln in lines])
+    for got, want in (
+            (line_strength(fields, 350.0, 0.9),
+             [line_strength(ln, 350.0, 0.9) for ln in lines]),
+            (doppler_hwhm(fields.nu0_cm, 350.0, 44.01),
+             [doppler_hwhm(ln.nu0_cm, 350.0, 44.01) for ln in lines]),
+            (lorentz_hwhm(fields, 10.5, 350.0, 0.25),
+             [lorentz_hwhm(ln, 10.5, 350.0, 0.25) for ln in lines])):
+        assert got.shape == (len(lines),)
+        np.testing.assert_array_max_ulp(got, np.array(want), maxulp=2)
 
 
 # ------------------------------------------------------------ alpha(nu)

@@ -127,13 +127,17 @@ def test_retrieve_from_paths_equals_from_maps(demo, demo_files, suffix,
     assert from_paths.rows.size == 171
 
 
-@pytest.mark.parametrize("suffix", [".nlm", ".csv"])
+@pytest.mark.parametrize("suffix, options", [
+    (".nlm", ()), (".csv", ()),
+    (".nlm", ("--engine", "extrema")), (".csv", ("--engine", "extrema")),
+], ids=[".nlm", ".csv", ".nlm-extrema", ".csv-extrema"])
 def test_cli_retrieve_peak_is_one_map_and_a_block(demo_files, suffix,
-                                                  tmp_path):
+                                                  options, tmp_path):
     d, maps = demo_files
     code, peak = _peak_bytes(lambda: main([
         "retrieve", str(d / f"sample{suffix}"), str(d / f"reference{suffix}"),
-        str(data_path("co2_demo.cfg")), "-o", str(tmp_path / "r.csv")]))
+        str(data_path("co2_demo.cfg")), "-o", str(tmp_path / "r.csv"),
+        *options]))
     assert code == 0
     assert peak <= maps[0].intensity.nbytes + 2.5 * MIB
 
