@@ -36,7 +36,6 @@ from .interferometer import (
     with_gaussian_noise,
 )
 from .mapio import IntensityMap, load_map, save_map
-from .retrieval import retrieve, save_result_csv
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -84,7 +83,13 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+# Each command imports the modules only it needs (the gas model for
+# `simulate`, the fitter for `retrieve`) first, before it allocates any
+# array, so that compiling them never adds to a peak of live arrays.
+
 def _cmd_simulate(args) -> int:
+    from . import gas  # noqa: F401  (for build_gas and build_vacuum)
+
     for option, value in (("--noise", args.noise), ("--seed", args.seed)):
         broken = None if value is None else _nonnegative(value)
         if broken:
@@ -121,6 +126,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
+    from .retrieval import retrieve, save_result_csv
+
     cfg = load_run_config(args.config)
     geom = build_geometry(cfg)
     if args.every < 1:

@@ -24,21 +24,24 @@ import configparser
 import math
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dispersion import GasIndexModel, load_uniaxial_crystal
 from .errors import ConfigError
-from .gas import GasState, nu_cm_from_lambda_nm, uniform_grid
 from .interferometer import (
     InterferometerGeometry,
     MapAxes,
     collinear_phase_matching_angle,
     detector_angle_axis,
     idler_wavelength_nm,
+    nu_cm_from_lambda_nm,
 )
-from .lineshape import line_grid_step, load_line_csv, load_par_file
 from .resources import data_path
+
+if TYPE_CHECKING:
+    from .gas import GasState
 
 
 @dataclass(frozen=True)
@@ -263,6 +266,8 @@ def _increasing(axis: np.ndarray, where: str) -> np.ndarray:
 
 
 # ------------------------------------------------------------ builders
+# The line and gas modules are imported by the builders that use them,
+# so that a command that builds no gas (`retrieve`) never compiles them.
 
 def build_axes(cfg: RunConfig) -> MapAxes:
     wavelength = np.linspace(cfg.signal_min_nm, cfg.signal_max_nm,
@@ -290,6 +295,8 @@ def build_geometry(cfg: RunConfig) -> InterferometerGeometry:
 
 
 def load_lines(cfg: RunConfig):
+    from .lineshape import load_line_csv, load_par_file
+
     if cfg.lines_path.endswith(".par"):
         return load_par_file(cfg.lines_path, molecule=cfg.molecule_id,
                              isotopologue=cfg.isotopologue_id)
@@ -298,6 +305,9 @@ def load_lines(cfg: RunConfig):
 
 def gas_grid(cfg: RunConfig, lines) -> np.ndarray:
     """Uniform idler wavenumber grid covering the map plus padding."""
+    from .gas import uniform_grid
+    from .lineshape import line_grid_step
+
     lam_i_edges = idler_wavelength_nm(
         cfg.pump_wavelength_nm,
         np.array([cfg.signal_min_nm, cfg.signal_max_nm]))
@@ -318,6 +328,8 @@ def gas_grid(cfg: RunConfig, lines) -> np.ndarray:
 
 
 def build_gas(cfg: RunConfig) -> GasState:
+    from .gas import GasState
+
     lines = load_lines(cfg)
     return GasState.from_lines(
         lines, cfg.pressure_torr, cfg.temperature_k, cfg.molar_mass_g_mol,
@@ -329,4 +341,6 @@ def build_gas(cfg: RunConfig) -> GasState:
 
 
 def build_vacuum(cfg: RunConfig) -> GasState:
+    from .gas import GasState
+
     return GasState.vacuum(t_k=cfg.temperature_k)

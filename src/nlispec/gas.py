@@ -26,23 +26,12 @@ import numpy as np
 
 from .dispersion import GasIndexModel, gas_index
 from .errors import ValidityRangeError
+# the wavelength conversions live beside idler_wavelength_nm
+from .interferometer import lambda_nm_from_nu_cm, nu_cm_from_lambda_nm  # noqa: F401
 from .kk import index_change_from_absorption
-from .lineshape import (DEFAULT_WING_CUTOFF_CM, absorption_coefficient,
-                        line_grid_step)
-
-
-def nu_cm_from_lambda_nm(lambda_nm):
-    """Vacuum wavenumber [cm^-1] from vacuum wavelength [nm]."""
-    lam = np.asarray(lambda_nm, dtype=float)
-    if np.any(lam <= 0):
-        raise ValueError("non-positive wavelength")
-    nu = 1.0e7 / lam
-    return float(nu) if np.isscalar(lambda_nm) else nu
-
-
-def lambda_nm_from_nu_cm(nu_cm):
-    """Vacuum wavelength [nm] from vacuum wavenumber [cm^-1]."""
-    return nu_cm_from_lambda_nm(nu_cm)  # the map is its own inverse
+from .lineshape import (DEFAULT_WING_CUTOFF_CM, LineArrays,
+                        absorption_coefficient, line_grid_step, line_strength,
+                        lorentz_hwhm, number_density)
 
 
 @dataclass(frozen=True)
@@ -101,8 +90,8 @@ class GasState:
                                        wing_cutoff_cm=wing_cutoff_cm,
                                        partition_ratio=partition_ratio)
         if not np.all(np.isfinite(alpha)):
-            raise ValidityRangeError("absorption overflows: line strengths "
-                                     "or density out of range")
+            raise ValidityRangeError("absorption overflows: " + _overflowed(
+                lines, p_torr, t_k, x_self, partition_ratio))
         if baseline is None:
             baseline = gas_index(visible, p_torr, t_k) - 1.0
         index = 1.0 + index_change_from_absorption(alpha, nu, baseline=baseline)
@@ -140,6 +129,18 @@ class GasState:
         """Refractive index at idler wavelength(s) [nm]."""
         return self._interp_idler(lambda_nm, self.idler_index,
                                   self.visible_index())
+
+
+def _overflowed(lines, p_torr, t_k, x_self, partition_ratio) -> str:
+    """Which quantity of a line sum whose absorption is not finite left
+    floating-point range."""
+    fields = LineArrays.of(lines)
+    if not np.all(np.isfinite(lorentz_hwhm(fields, p_torr, t_k, x_self))):
+        return "a Lorentz width is out of range"
+    if not np.all(np.isfinite(number_density(p_torr, t_k)
+                              * line_strength(fields, t_k, partition_ratio))):
+        return "a line strength times the density is out of range"
+    return "the sum of the lines is out of range"
 
 
 # one cap for every idler grid; the FFT KK transform takes tens of ms here

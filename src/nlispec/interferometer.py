@@ -31,24 +31,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dispersion import UniaxialCrystalIndex, uniaxial_index, wavevector
 from .errors import ValidityRangeError
-from .gas import GasState
+
+if TYPE_CHECKING:   # the map retrieval path never compiles the gas model
+    from .gas import GasState
 
 NM_PER_CM = 1.0e7
 # Wavelength rows that every map-sized stage (rendering, fitting, text
 # output) handles at once: each stage's temporaries are one block of
 # rows, not a whole map.
-_BLOCK_ROWS = 32
+BLOCK_ROWS = 32
 
 
 def row_blocks(n_rows: int) -> list[slice]:
-    """Consecutive _BLOCK_ROWS-row slices covering `n_rows` rows."""
-    return [slice(start, start + _BLOCK_ROWS)
-            for start in range(0, n_rows, _BLOCK_ROWS)]
+    """Consecutive BLOCK_ROWS-row slices covering `n_rows` rows."""
+    return [slice(start, start + BLOCK_ROWS)
+            for start in range(0, n_rows, BLOCK_ROWS)]
 
 
 def idler_wavelength_nm(pump_nm, signal_nm):
@@ -62,6 +65,20 @@ def idler_wavelength_nm(pump_nm, signal_nm):
             "signal wavelength must exceed the pump wavelength")
     out = 1.0 / (1.0 / pump - 1.0 / signal)
     return float(out) if out.ndim == 0 else out
+
+
+def nu_cm_from_lambda_nm(lambda_nm):
+    """Vacuum wavenumber [cm^-1] from vacuum wavelength [nm]."""
+    lam = np.asarray(lambda_nm, dtype=float)
+    if np.any(lam <= 0):
+        raise ValueError("non-positive wavelength")
+    nu = NM_PER_CM / lam
+    return float(nu) if np.isscalar(lambda_nm) else nu
+
+
+def lambda_nm_from_nu_cm(nu_cm):
+    """Vacuum wavelength [nm] from vacuum wavenumber [cm^-1]."""
+    return nu_cm_from_lambda_nm(nu_cm)  # the map is its own inverse
 
 
 @dataclass(frozen=True)

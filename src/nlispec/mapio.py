@@ -23,12 +23,26 @@ meta from the leading comments, skip every line that is blank or
 starts with ``#`` after stripping, accept CRLF and leave the magic to
 the caller (hand-made maps have none).
 
+Each form has one reader, a `MapReader` that `open_map` returns: it
+reads and checks the header (magic, axes, meta, data size) when the
+map is opened, then hands out rows in increasing order, reading the
+file one block of rows at a time.  It reads and checks every row of
+the file, also the rows not asked for (finite intensity in every form,
+and the cells of every `.csv` line, named by file line), so a caller
+that fits every 4th row fails on exactly the files that `load_map`
+rejects.  `load_map` is "open and read every row".  A `.csv` reader
+counts the cells of every line and takes its wavelength axis from the
+first cells in one pass over the file on open, and parses the rows in
+a second; a `.pgm` reader holds the 16-bit levels, a quarter of the
+float map.
+
 All writes are atomic (temp file in the destination directory, then
 rename), so a crash never leaves a half-written file behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -39,11 +53,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MapFormatError
-from .interferometer import MapAxes, row_blocks
+from .interferometer import BLOCK_ROWS, MapAxes, row_blocks
 
 _MAGIC = b"NLIMAP1\n"
 _PGM_MAXVAL = 65535
 _CELL = "%.17g"
+_F8 = np.dtype("<f8")   # the .nlm payload
 
 
 @dataclass(frozen=True)
@@ -104,12 +119,80 @@ def _axes_from_header(head: dict, source) -> MapAxes:
     return axes
 
 
-def _checked_map(source, axes, data, meta) -> IntensityMap:
-    """IntensityMap of loaded parts, its checks failing as MapFormatError."""
-    try:
-        return IntensityMap(axes, data, meta)
-    except ValueError as exc:
-        raise MapFormatError(f"{source}: {exc}") from None
+# ---------------------------------------------------------------- readers
+
+class MapReader:
+    """One open map: its axes and meta, checked when it is opened, and
+    its rows, read in increasing order one block of file rows at a time.
+
+    Every block of the file is read and checked (finite intensity, and
+    the cells of every line of a `.csv` map), also the blocks that hold
+    no row asked for, so a defect anywhere in a file fails here as it
+    does in `load_map`; `read_to_end` checks the blocks after the last
+    row asked for.  No block outlives the call that reads it.  A reader
+    is closed by `close` or at the end of a `with` block.
+    """
+
+    def __init__(self, source, axes: MapAxes, meta):
+        self.source, self.axes, self.meta = source, axes, meta
+        self._next = 0   # the first file row not read yet
+
+    def rows(self, idx) -> np.ndarray:
+        """A copy of rows `idx`: non-decreasing indices, none of them
+        before a row that an earlier call read."""
+        idx = np.asarray(idx, dtype=int)
+        if idx.size and idx[0] < self._next:
+            raise ValueError("map rows must be read in increasing order")
+        if idx.size and idx[-1] >= self.axes.shape[0]:
+            raise IndexError(f"{self.source}: no row {idx[-1]}")
+        out = np.empty((idx.size, self.axes.shape[1]))
+        for start, block in self._read_until(idx[-1] + 1 if idx.size else 0):
+            lo, hi = np.searchsorted(idx, (start, start + len(block)))
+            out[lo:hi] = block[idx[lo:hi] - start]
+        return out
+
+    def read_to_end(self) -> None:
+        """Read and check the rows after the last one read."""
+        for _ in self._read_until(self.axes.shape[0]):
+            pass
+
+    def _read_until(self, stop):
+        """(first row, rows) of each block of the file rows from the
+        first unread one up to `stop`, read and checked."""
+        for start in range(self._next, stop, BLOCK_ROWS):
+            block = slice(start, min(start + BLOCK_ROWS, stop))
+            rows = np.empty((block.stop - start, self.axes.shape[1]))
+            self._fill(block, rows)
+            finite = np.isfinite(rows).all(axis=1)
+            if not finite.all():
+                raise MapFormatError(
+                    f"{self.source}: intensity must be finite; row "
+                    f"{start + np.argmin(finite)} is not")
+            self._next = block.stop
+            yield start, rows
+
+    def _fill(self, block: slice, rows) -> None:
+        """Put the file rows `block`, the next ones unread, into `rows`."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+
+class _MemoryReader(MapReader):
+    def __init__(self, m: IntensityMap):
+        super().__init__("map", m.axes, m.meta)
+        self._intensity = m.intensity
+
+    def _fill(self, block, rows):
+        rows[...] = self._intensity[block]
 
 
 # ---------------------------------------------------------------- native
@@ -121,10 +204,20 @@ def _save_native(path, m: IntensityMap):
                                + header, memoryview(data)))
 
 
-def _load_native(path) -> IntensityMap:
-    # every length is checked against the file size before anything of
-    # that length is allocated, and the data is read straight into place
-    with open(path, "rb") as fh:
+class _NativeReader(MapReader):
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        try:
+            axes, meta = self._read_header(path)
+        except BaseException:
+            self._fh.close()
+            raise
+        super().__init__(path, axes, meta)
+
+    def _read_header(self, path):
+        # every length is checked against the file size before anything
+        # of that length is allocated
+        fh = self._fh
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise MapFormatError(f"{path}: bad magic; not a native map file")
@@ -143,14 +236,21 @@ def _load_native(path) -> IntensityMap:
         axes = _axes_from_header(head, path)
         expected = axes.shape[0] * axes.shape[1] * 8
         found = size - off - hlen
-        if found == expected:
-            data = np.empty(axes.shape, dtype="<f8")
-            found = fh.readinto(data)
         if found != expected:
             raise MapFormatError(
                 f"{path}: expected {expected} data bytes, found {found}"
             )
-    return _checked_map(path, axes, data, head.get("meta", {}))
+        return axes, head.get("meta", {})
+
+    def _fill(self, block, rows):
+        # the rows go straight into place, decoded from little-endian
+        if self._fh.readinto(rows) != rows.nbytes:
+            raise MapFormatError(f"{self.source}: truncated data")
+        if not _F8.isnative:
+            rows.byteswap(inplace=True)
+
+    def close(self):
+        self._fh.close()
 
 
 # ---------------------------------------------------------------- text tables
@@ -180,57 +280,70 @@ def _is_data_line(line: str) -> bool:
     return bool(text) and not text.startswith("#")
 
 
-def read_text_table(path):
-    """(magic or None, meta, header cells, 2-D float array) of a text
-    table; every defect raises MapFormatError.  The body is parsed as
-    it is read, never held as text."""
+@contextlib.contextmanager
+def _decoding(path):
+    """Fail a text table whose bytes are not UTF-8 as MapFormatError."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            magic, meta = None, {}
-            for n, line in enumerate(fh, 1):
-                text = line.strip()
-                if n == 1 and line.startswith("#"):
-                    magic = text
-                if _is_data_line(line):
-                    header = [cell.strip() for cell in text.split(",")]
-                    break
-                body = text.lstrip("#").strip()
-                if body.startswith("meta:"):
-                    try:
-                        meta = json.loads(body[5:])
-                    except json.JSONDecodeError as exc:
-                        raise MapFormatError(
-                            f"{path}:{n}: bad meta json: {exc}") from None
-            else:
-                raise MapFormatError(f"{path}: no data rows")
-            rows = filter(_is_data_line, fh)
-            # np.loadtxt only warns on an empty body
-            first = next(rows, None)
-            if first is None:
-                raise MapFormatError(f"{path}: no data rows")
-            try:
-                table = np.loadtxt(itertools.chain((first,), rows),
-                                   delimiter=",", comments=None, ndmin=2)
-            except UnicodeDecodeError:
-                raise
-            except ValueError as exc:
-                raise _cell_error(path, len(header), exc) from None
+        yield
     except UnicodeDecodeError as exc:
         raise MapFormatError(f"{path}: not UTF-8 text: {exc}") from None
-    if table.shape[1] != len(header):
-        raise MapFormatError(f"{path}: expected {len(header)} cells per row, "
-                             f"got {table.shape[1]}")
-    return magic, meta, header, table
 
 
-def _cell_error(path, width, exc) -> MapFormatError:
-    """The error for the first data line of `path` below the header that
-    is not `width` numbers; numpy's own message counts data rows only."""
-    with open(path, encoding="utf-8") as fh:
-        lines = ((n, line) for n, line in enumerate(fh, 1)
-                 if _is_data_line(line))
-        next(lines)   # the header
+def _read_head(fh, path):
+    """(magic or None, meta, header cells, data lines) of the text
+    table open as `fh`, read through its header row; data lines yields
+    (file line number, line) for each data line below it."""
+    magic, meta = None, {}
+    for n, line in enumerate(fh, 1):
+        text = line.strip()
+        if n == 1 and line.startswith("#"):
+            magic = text
+        if _is_data_line(line):
+            header = [cell.strip() for cell in text.split(",")]
+            break
+        body = text.lstrip("#").strip()
+        if body.startswith("meta:"):
+            try:
+                meta = json.loads(body[5:])
+            except json.JSONDecodeError as exc:
+                raise MapFormatError(
+                    f"{path}:{n}: bad meta json: {exc}") from None
+    else:
+        raise MapFormatError(f"{path}: no data rows")
+    return magic, meta, header, ((k, line) for k, line in enumerate(fh, n + 1)
+                                 if _is_data_line(line))
+
+
+def _parse_rows(path, lines, width) -> np.ndarray:
+    """The cells of `lines`, (file line number, line) pairs of data
+    lines, as a (lines x width) array; a line is parsed as it is read."""
+    numbers = []
+
+    def text():
         for number, line in lines:
+            numbers.append(number)
+            yield line
+
+    try:
+        table = np.loadtxt(text(), delimiter=",", comments=None, ndmin=2)
+    except UnicodeDecodeError:   # from reading the file, not a cell
+        raise
+    except ValueError:
+        table = None
+    if table is None or table.shape[1] != width:
+        raise _cell_error(path, numbers, width)
+    return table
+
+
+def _cell_error(path, numbers, width) -> MapFormatError:
+    """The error for the first of the file lines `numbers` of `path`
+    that is not `width` numbers; numpy's own message counts the lines
+    it was given, not file lines."""
+    wanted = set(numbers)
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if number not in wanted:
+                continue
             try:
                 cells = np.loadtxt([line], delimiter=",", comments=None,
                                    ndmin=2).shape[1]
@@ -239,7 +352,21 @@ def _cell_error(path, width, exc) -> MapFormatError:
             if cells != width:
                 return MapFormatError(
                     f"{path}:{number}: bad cells: expected {width} numbers")
-    return MapFormatError(f"{path}: bad cells: {exc}")
+    return MapFormatError(f"{path}: bad cells")
+
+
+def read_text_table(path):
+    """(magic or None, meta, header cells, 2-D float array) of a text
+    table; every defect raises MapFormatError.  The body is parsed as
+    it is read, never held as text."""
+    with open(path, encoding="utf-8") as fh, _decoding(path):
+        magic, meta, header, lines = _read_head(fh, path)
+        first = next(lines, None)
+        if first is None:
+            raise MapFormatError(f"{path}: no data rows")
+        table = _parse_rows(path, itertools.chain((first,), lines),
+                            len(header))
+    return magic, meta, header, table
 
 
 def _save_csv(path, m: IntensityMap):
@@ -248,16 +375,52 @@ def _save_csv(path, m: IntensityMap):
                      m.axes.wavelength_nm, m.intensity)
 
 
-def _load_csv(path) -> IntensityMap:
-    _, meta, header, table = read_text_table(path)
-    if header[0] != "wavelength_nm":
-        raise MapFormatError(f"{path}: expected header row, got {header[0]!r}")
-    try:
-        # a copy: a view would keep the whole table alive with the axes
-        axes = MapAxes(table[:, 0].copy(), np.array(header[1:], dtype=float))
-        return IntensityMap(axes, table[:, 1:], meta)
-    except ValueError as exc:
-        raise MapFormatError(f"{path}: {exc}") from None
+class _CsvReader(MapReader):
+    def __init__(self, path):
+        # one pass on open counts every line's cells (the data size) and
+        # reads the wavelength axis from the first cells; a second parses
+        # the rows as they are asked for
+        with open(path, encoding="utf-8") as fh, _decoding(path):
+            _, meta, header, lines = _read_head(fh, path)
+            wavelength = [self._first_cell(path, n, line, len(header))
+                          for n, line in lines]
+        if not wavelength:
+            raise MapFormatError(f"{path}: no data rows")
+        if header[0] != "wavelength_nm":
+            raise MapFormatError(
+                f"{path}: expected header row, got {header[0]!r}")
+        try:
+            axes = MapAxes(np.array(wavelength),
+                           np.array(header[1:], dtype=float))
+        except ValueError as exc:
+            raise MapFormatError(f"{path}: {exc}") from None
+        self._fh = open(path, encoding="utf-8")
+        try:
+            with _decoding(path):
+                self._lines = _read_head(self._fh, path)[3]
+        except BaseException:
+            self._fh.close()
+            raise
+        super().__init__(path, axes, meta)
+
+    @staticmethod
+    def _first_cell(path, number, line, width) -> float:
+        try:
+            if line.count(",") + 1 == width:
+                return float(line.split(",", 1)[0])
+        except ValueError:
+            pass
+        raise MapFormatError(
+            f"{path}:{number}: bad cells: expected {width} numbers")
+
+    def _fill(self, block, rows):
+        with _decoding(self.source):
+            table = _parse_rows(self.source, itertools.islice(
+                self._lines, len(rows)), rows.shape[1] + 1)
+        rows[...] = table[:, 1:]
+
+    def close(self):
+        self._fh.close()
 
 
 # ---------------------------------------------------------------- pgm
@@ -280,50 +443,54 @@ def _save_pgm(path, m: IntensityMap):
                         json.dumps(side, indent=1).encode("utf-8"))
 
 
-def _load_pgm(path) -> IntensityMap:
-    sidecar = str(path) + ".json"
-    try:
-        with open(sidecar, encoding="utf-8") as fh:
-            side = json.load(fh)
-    except FileNotFoundError:
-        raise MapFormatError(f"{path}: missing sidecar {sidecar}") from None
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise MapFormatError(f"{sidecar}: {exc}") from None
-    axes = _axes_from_header(side, sidecar)
-    try:
-        offset = float(side["intensity_offset"])
-        span = float(side["intensity_span"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MapFormatError(f"{sidecar}: bad intensity scale: {exc!r}") \
-            from None
-    if not np.all(np.isfinite((offset, span))):
-        raise MapFormatError(f"{sidecar}: intensity scale is not finite")
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    parts = blob.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P5":
-        raise MapFormatError(f"{path}: not a binary 16-bit PGM")
-    try:
-        cols, rows = (int(t) for t in parts[1].split())
-        maxval = int(parts[2])
-    except ValueError as exc:
-        raise MapFormatError(f"{path}: bad PGM header: {exc}") from None
-    if maxval != _PGM_MAXVAL or (rows, cols) != axes.shape:
-        raise MapFormatError(f"{path}: PGM header disagrees with sidecar")
-    body = parts[3]
-    if len(body) != rows * cols * 2:
-        raise MapFormatError(f"{path}: truncated pixel data")
-    levels = np.frombuffer(body, dtype=">u2").reshape(rows, cols)
-    data = offset + levels / maxval * span
-    return _checked_map(path, axes, data, side.get("meta", {}))
+class _PgmReader(MapReader):
+    # the 16-bit levels, a quarter of the float map, are read on open
+    def __init__(self, path):
+        sidecar = str(path) + ".json"
+        try:
+            with open(sidecar, encoding="utf-8") as fh:
+                side = json.load(fh)
+        except FileNotFoundError:
+            raise MapFormatError(f"{path}: missing sidecar {sidecar}") \
+                from None
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise MapFormatError(f"{sidecar}: {exc}") from None
+        axes = _axes_from_header(side, sidecar)
+        try:
+            self._offset = float(side["intensity_offset"])
+            self._span = float(side["intensity_span"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MapFormatError(f"{sidecar}: bad intensity scale: {exc!r}") \
+                from None
+        if not np.all(np.isfinite((self._offset, self._span))):
+            raise MapFormatError(f"{sidecar}: intensity scale is not finite")
+        with open(path, "rb") as fh:
+            parts = fh.read().split(b"\n", 3)
+        if len(parts) < 4 or parts[0] != b"P5":
+            raise MapFormatError(f"{path}: not a binary 16-bit PGM")
+        try:
+            cols, rows = (int(t) for t in parts[1].split())
+            maxval = int(parts[2])
+        except ValueError as exc:
+            raise MapFormatError(f"{path}: bad PGM header: {exc}") from None
+        if maxval != _PGM_MAXVAL or (rows, cols) != axes.shape:
+            raise MapFormatError(f"{path}: PGM header disagrees with sidecar")
+        if len(parts[3]) != rows * cols * 2:
+            raise MapFormatError(f"{path}: truncated pixel data")
+        self._levels = np.frombuffer(parts[3], dtype=">u2").reshape(rows, cols)
+        super().__init__(path, axes, side.get("meta", {}))
+
+    def _fill(self, block, rows):
+        rows[...] = (self._offset + self._levels[block] / _PGM_MAXVAL
+                     * self._span)
 
 
 # ---------------------------------------------------------------- front door
 
 _FORMATS = {
-    ".nlm": (_save_native, _load_native),
-    ".csv": (_save_csv, _load_csv),
-    ".pgm": (_save_pgm, _load_pgm),
+    ".nlm": (_save_native, _NativeReader),
+    ".csv": (_save_csv, _CsvReader),
+    ".pgm": (_save_pgm, _PgmReader),
 }
 
 
@@ -343,8 +510,18 @@ def save_map(path, m: IntensityMap) -> None:
     _format_for(path)[0](str(path), m)
 
 
+def open_map(source) -> MapReader:
+    """A MapReader of an IntensityMap or of a map file written by
+    save_map; a file's header is read and checked here."""
+    if isinstance(source, IntensityMap):
+        return _MemoryReader(source)
+    if not os.path.exists(str(source)):
+        raise FileNotFoundError(str(source))
+    return _format_for(source)[1](str(source))
+
+
 def load_map(path) -> IntensityMap:
-    """Read a map written by save_map."""
-    if not os.path.exists(str(path)):
-        raise FileNotFoundError(str(path))
-    return _format_for(path)[1](str(path))
+    """Read a map written by save_map: open it and read every row."""
+    with open_map(path) as reader:
+        data = reader.rows(np.arange(reader.axes.shape[0]))
+    return IntensityMap(reader.axes, data, reader.meta)

@@ -30,6 +30,14 @@ engines fit one block of rows at a time and return NaN in every field
 of a row they cannot read (a dim row, or too few resolved fringes)
 while reading the rest; neither raises for a bad row.
 
+`retrieve` streams the two maps together: it opens both, compares
+their axes before it fits anything, and then runs one loop over blocks
+of rows that reads the block's rows of both maps and fits both.  The
+two maps come from one interferometer and differ only in what fills
+the gap, so the crystal phase mismatch, the sinc^2 envelope and the
+steepening are computed once per block, and each map adds only its own
+gap term at its visible-band index.  No whole map is held.
+
 Because both rows of a pair are fitted identically, estimator bias is
 common mode: it divides out of V and subtracts out of dphi.
 """
@@ -43,15 +51,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AxisMismatchError, MapFormatError
-from .gas import nu_cm_from_lambda_nm
 from .interferometer import (
     InterferometerGeometry,
     _mismatch,
     crystal_phase_mismatch,
     idler_wavelength_nm,
+    nu_cm_from_lambda_nm,
     row_blocks,
 )
-from .mapio import IntensityMap, load_map, read_text_table, write_text_table
+from .mapio import open_map, read_text_table, write_text_table
 
 
 # ------------------------------------------------------------ inversions
@@ -108,12 +116,11 @@ _MIN_FRINGES = 8
 
 
 def _project(rows, design):
-    """Least squares of each row on its (angles x 3) design matrix: the
+    """Least squares of each row on its (3 x angles) design matrix: the
     coefficients (3 x rows), Gram matrices and residual sums of squares."""
-    design_t = design.transpose(0, 2, 1)
-    gram = design_t @ design
-    coef = np.linalg.solve(gram, design_t @ rows[..., None])
-    resid = rows - (design @ coef)[..., 0]
+    gram = design @ design.transpose(0, 2, 1)
+    coef = np.linalg.solve(gram, design @ rows[..., None])
+    resid = rows - (coef.transpose(0, 2, 1) @ design)[:, 0]
     return coef[..., 0].T, gram, np.einsum("rm,rm->r", resid, resid)
 
 
@@ -122,9 +129,10 @@ def fit_rows_model(rows, envelope, phase, steepening=None, *,
     """Fringe parameters of many rows against a known vacuum pattern.
 
     Every argument is an (n_rows, n_angle) array or a single row, and
-    all the rows given are fitted together: the (rows x angles x 3)
-    design matrix and the working copies are as large as the input, so
-    a caller with many rows passes them a block at a time.
+    all the rows given are fitted together: the (rows x 3 x angles)
+    design matrix, filled in place at each pass, and the working copies
+    are as large as the input, so a caller with many rows passes them a
+    block at a time.
     `phase` and `envelope` come from the forward model of the empty
     interferometer; `steepening` is the off-axis phase-shift multiplier
     m (1 on axis).  Without `polish` the result is pass 0, the linear
@@ -150,10 +158,19 @@ def fit_rows_model(rows, envelope, phase, steepening=None, *,
     # each row's fit, Gram matrix and rss from the last pass it took
     last, gram, rss = np.empty((3, n)), np.empty((n, 3, 3)), np.empty(n)
     sine_env = env   # pass 0 leaves the steepening out
+    design = np.empty((n, 3, y.shape[1]))
     for k in range(_MAX_PASSES + 1 if polish else 1):
-        theta = phi + delta[:, None] * m
-        (a0, ac, as_), gram[at], rss[at] = _project(y, np.stack(
-            (env, env * np.cos(theta), sine_env * np.sin(theta)), -1))
+        # columns E, E cos theta and E' sin theta, theta = phi + delta m,
+        # with E' = E in pass 0 and E m after it
+        d = design[:at.size]
+        d[:, 0] = env
+        np.multiply(delta[:, None], m, out=d[:, 1])
+        d[:, 1] += phi
+        np.sin(d[:, 1], out=d[:, 2])
+        np.cos(d[:, 1], out=d[:, 1])
+        d[:, 1] *= env
+        d[:, 2] *= sine_env
+        (a0, ac, as_), gram[at], rss[at] = _project(y, d)
         step = np.arctan2(-as_, ac)
         delta = delta + step
         lit[at] &= a0 > 0
@@ -291,6 +308,27 @@ def _row_indices(rows, n_rows: int) -> np.ndarray:
     return row_idx
 
 
+def _shared_pattern(geom: InterferometerGeometry, lambda_s_nm, theta_rad):
+    """Crystal phase mismatch, envelope and phase-shift steepening per
+    row: the parts of the fringe template that a sample map and its
+    reference share."""
+    delta = crystal_phase_mismatch(geom, lambda_s_nm, theta_rad)
+    envelope = np.sinc(delta / (2.0 * math.pi)) ** 2
+    lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lambda_s_nm)
+    q_over_ki = np.sin(theta_rad)[None, :] * (lam_i / lambda_s_nm)[:, None]
+    steepening = 1.0 / np.sqrt(1.0 - q_over_ki**2)
+    return delta, envelope, steepening
+
+
+def _gap_term(geom: InterferometerGeometry, lambda_s_nm, theta_rad,
+              visible_index: float):
+    """The gap's phase mismatch with all three waves at the visible-band
+    index of the medium in the gap: the one part of the template that
+    differs between a sample map and its reference."""
+    return _mismatch(geom, geom.gap_length_cm, visible_index, visible_index,
+                     visible_index, lambda_s_nm, theta_rad)
+
+
 def _model_pattern(geom: InterferometerGeometry, lambda_s_nm, theta_rad,
                    visible_index: float = 1.0):
     """Template phase, envelope and phase-shift steepening per row.
@@ -299,14 +337,10 @@ def _model_pattern(geom: InterferometerGeometry, lambda_s_nm, theta_rad,
     of the medium in the gap, so the fitted phase parameter measures
     purely the idler index offset from that baseline.
     """
-    delta = crystal_phase_mismatch(geom, lambda_s_nm, theta_rad)
-    delta_m = _mismatch(geom, geom.gap_length_cm, visible_index,
-                        visible_index, visible_index, lambda_s_nm, theta_rad)
-    envelope = np.sinc(delta / (2.0 * math.pi)) ** 2
-    lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lambda_s_nm)
-    q_over_ki = np.sin(theta_rad)[None, :] * (lam_i / lambda_s_nm)[:, None]
-    steepening = 1.0 / np.sqrt(1.0 - q_over_ki**2)
-    return delta + delta_m, envelope, steepening
+    delta, envelope, steepening = _shared_pattern(geom, lambda_s_nm,
+                                                  theta_rad)
+    return (delta + _gap_term(geom, lambda_s_nm, theta_rad, visible_index),
+            envelope, steepening)
 
 
 def retrieve(sample, reference, geom: InterferometerGeometry, *,
@@ -315,14 +349,18 @@ def retrieve(sample, reference, geom: InterferometerGeometry, *,
     """Recover alpha and the idler index offset per signal wavelength.
 
     `sample` and `reference` are each an IntensityMap or the path of a
-    map file; a path is loaded just before its map is fitted and dropped
-    after it, so the two maps are never in memory together.
+    map file.  Both are opened, and their axes compared, before any row
+    is fitted; then one loop over blocks of rows reads the block's rows
+    of both maps, builds the template they share once and fits both,
+    so no whole map is held unless one is passed in.  Every row of a
+    map file is read and checked, also the rows not fitted.
     `reference` must be recorded with an evacuated gap on identical
-    axes.  `rows` selects a subset of wavelength rows (indices, or a
-    slice of the sample's rows); the default processes all of them.
-    The extrema engine yields only visibility and absorption (phase
-    columns are NaN).  A row that either engine cannot fit comes back
-    NaN in every fitted column.
+    axes.  `rows` selects a subset of wavelength rows (indices in any
+    order, or a slice of the sample's rows); the default processes all
+    of them.  The rows are fitted in increasing order and returned in
+    the order asked for.  The extrema engine yields only visibility and
+    absorption (phase columns are NaN).  A row that either engine
+    cannot fit comes back NaN in every fitted column.
 
     The visible-band index of whatever fills the gap is assumed known
     (it only nudges the fringe template); pass it per map so the
@@ -331,35 +369,37 @@ def retrieve(sample, reference, geom: InterferometerGeometry, *,
     """
     if engine not in ("model", "extrema"):
         raise ValueError(f"unknown engine {engine!r}")
-    axes = None
-    estimates, metas = [], []
-    # the reference gap is evacuated: visible index 1
-    for m, visible in ((sample, sample_visible_index), (reference, 1.0)):
-        if not isinstance(m, IntensityMap):
-            m = load_map(m)
-        if axes is None:
-            axes = m.axes
-            row_idx = _row_indices(rows, axes.shape[0])
-            lam_s = axes.wavelength_nm[row_idx]
-            lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lam_s)
-        elif not axes.close_to(m.axes):
+    with open_map(sample) as s_map, open_map(reference) as r_map:
+        axes = s_map.axes
+        if not axes.close_to(r_map.axes):
             raise AxisMismatchError(
                 "sample and reference do not share wavelength/angle axes")
-        # one block of rows at a time: the row copy, the template and
-        # the fit's work arrays stay block-sized
-        est = np.empty((len(RowEstimate._fields), row_idx.size))
-        for blk in row_blocks(row_idx.size):
-            if engine == "model":
-                phase, envelope, steepening = _model_pattern(
-                    geom, lam_s[blk], axes.angle_rad, visible)
-                est[:, blk] = fit_rows_model(m.intensity[row_idx[blk]],
-                                             envelope, phase, steepening,
-                                             polish=polish)
-            else:
-                est[:, blk] = fit_rows_extrema(m.intensity[row_idx[blk]])
-        estimates.append(RowEstimate(*est))
-        metas.append(m.meta)
-    est_s, est_r = estimates
+        row_idx = _row_indices(rows, axes.shape[0])
+        fit_idx, asked = np.unique(row_idx, return_inverse=True)
+        lam_fit = axes.wavelength_nm[fit_idx]
+        theta = axes.angle_rad
+        # est[0] is the sample's fit, est[1] the reference's
+        est = np.empty((2, len(RowEstimate._fields), fit_idx.size))
+        for blk in row_blocks(fit_idx.size):
+            pair = s_map.rows(fit_idx[blk]), r_map.rows(fit_idx[blk])
+            if engine == "extrema":
+                for k, y in enumerate(pair):
+                    est[k, :, blk] = fit_rows_extrema(y)
+                continue
+            delta, envelope, steepening = _shared_pattern(
+                geom, lam_fit[blk], theta)
+            # the reference gap is evacuated: visible index 1
+            for k, (y, visible) in enumerate(zip(
+                    pair, (sample_visible_index, 1.0))):
+                phase = _gap_term(geom, lam_fit[blk], theta, visible)
+                phase += delta
+                est[k, :, blk] = fit_rows_model(y, envelope, phase,
+                                                steepening, polish=polish)
+        s_map.read_to_end()
+        r_map.read_to_end()
+    est_s, est_r = (RowEstimate(*e[:, asked]) for e in est)
+    lam_s = axes.wavelength_nm[row_idx]
+    lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lam_s)
     dphi = est_s.phase_rad - est_r.phase_rad
     dphi_sigma = np.hypot(est_s.sigma_phase, est_r.sigma_phase)
     vis = est_s.contrast / est_r.contrast
@@ -375,7 +415,7 @@ def retrieve(sample, reference, geom: InterferometerGeometry, *,
             "gap_length_cm": geom.gap_length_cm,
             "sample_visible_index": sample_visible_index,
             "reference_visible_index": 1.0,
-            "sample_meta": metas[0], "reference_meta": metas[1]}
+            "sample_meta": s_map.meta, "reference_meta": r_map.meta}
     return RetrievalResult(
         wavelength_nm=lam_s, idler_wavelength_nm=lam_i,
         idler_nu_cm=nu_cm_from_lambda_nm(lam_i), visibility=vis,

@@ -269,6 +269,50 @@ def test_exit_code_incompatible_axes(workdir, tmp_path, capsys):
     assert "inconsistent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", [6, 14], ids=["between", "after_last"])
+@pytest.mark.parametrize("suffix", [".csv", ".nlm"])
+def test_retrieve_checks_the_rows_it_skips(workdir, tmp_path, capsys, suffix,
+                                           row):
+    # --every 4 fits rows 0, 4, 8 and 12 of 16; `row` is never fitted
+    sample = load_map(workdir / "sample.nlm")
+    path = tmp_path / f"s{suffix}"
+    save_map(path, sample)
+    if suffix == ".csv":
+        lines = path.read_text().splitlines()
+        lines[3 + row] = lines[3 + row].replace(",", ",x", 1)
+        path.write_text("\n".join(lines) + "\n")
+        expected = f"s.csv:{4 + row}: bad cells"
+    else:
+        blob = bytearray(path.read_bytes())
+        at = len(blob) - sample.intensity.nbytes + row * 257 * 8
+        blob[at:at + 8] = np.array([math.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        expected = f"row {row} is not"
+    code = main(["retrieve", str(path), str(workdir / "reference.nlm"),
+                 str(workdir / "run.cfg"), "-o", str(tmp_path / "r.csv"),
+                 "--every", "4"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert expected in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_retrieve_compares_axes_before_reading_rows(workdir, tmp_path,
+                                                    capsys):
+    cfg2 = tmp_path / "other.cfg"
+    cfg2.write_text(CFG.replace("samples = 257", "samples = 101"))
+    other = tmp_path / "other.nlm"
+    assert main(["simulate", str(cfg2), "-o", str(other), "--vacuum"]) == 0
+    sample = tmp_path / "s.csv"
+    save_map(sample, load_map(workdir / "sample.nlm"))
+    text = sample.read_text()
+    sample.write_text(text[:text.rindex(",")] + ",broken\n")
+    code = main(["retrieve", str(sample), str(other), str(workdir / "run.cfg"),
+                 "-o", str(tmp_path / "r.csv")])
+    assert code == 3
+    assert "inconsistent" in capsys.readouterr().err
+
+
 def _readme_synopsis() -> dict:
     """Long options of each subcommand in README's "Command line" block."""
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
@@ -529,6 +573,31 @@ def test_import_does_not_load_scipy():
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def _imported_modules(args) -> set:
+    """The modules a fresh `nlispec` CLI process loads, from -X importtime."""
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "nlispec.cli", *args],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+def test_each_command_loads_only_its_modules(workdir, tmp_path):
+    # compiling modules a command never uses costs every CLI call time
+    # and peak memory
+    cfg = str(workdir / "run.cfg")
+    simulate = _imported_modules(
+        ["simulate", cfg, "-o", str(tmp_path / "s.nlm")])
+    retrieve = _imported_modules(
+        ["retrieve", str(workdir / "sample.nlm"),
+         str(workdir / "reference.nlm"), cfg, "-o", str(tmp_path / "r.csv")])
+    assert {"nlispec.gas", "nlispec.lineshape", "nlispec.kk"} <= simulate
+    assert "nlispec.retrieval" not in simulate
+    assert "nlispec.retrieval" in retrieve
+    assert not retrieve & {"nlispec.gas", "nlispec.lineshape", "nlispec.kk"}
 
 
 def test_import_does_not_load_scipy_stats():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -132,3 +133,16 @@ def test_default_grid_caps_point_count():
     far = SpectralLine(4000.0, 1e-19, 0.095, 0.145, 200.0, 0.75)
     with pytest.raises(ValueError, match="nu_grid_cm"):
         default_line_grid([narrow, far], 10.5, 300.0, 44.01)
+
+
+@pytest.mark.parametrize("edit, t_k, cause", [
+    ({"n_air": 2000.0}, 200.0, "a Lorentz width"),
+    ({"elow_cm": 2e7}, 300.0, "a line strength"),
+], ids=["width", "strength"])
+def test_from_lines_names_the_quantity_that_overflows(edit, t_k, cause):
+    line = dataclasses.replace(BROAD, **edit)
+    nu = np.linspace(1500.0, 3200.0, 1701)
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValidityRangeError, match="overflows") as err:
+        GasState.from_lines([line], 10.5, t_k, 44.0, nu_grid_cm=nu)
+    assert cause in str(err.value)

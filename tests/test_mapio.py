@@ -1,16 +1,15 @@
-import gc
 import io
 import json
 import math
 import struct
-import weakref
 
 import numpy as np
 import pytest
 
 from nlispec.errors import MapFormatError
 from nlispec.interferometer import MapAxes
-from nlispec.mapio import IntensityMap, load_map, save_map, write_text_table
+from nlispec.mapio import (IntensityMap, load_map, open_map, save_map,
+                           write_text_table)
 
 
 @pytest.fixture
@@ -55,19 +54,6 @@ def test_csv_layout_is_pinned(tmp_path):
         b"wavelength_nm,-0.001,0,0.33333333333333331\n"
         b"600,0.25,1.0000000000000001e-17,0.10000000000000001\n"
         b"601.5,1,2,3.5\n")
-
-
-def test_csv_axes_do_not_keep_the_table_alive(tmp_path, sample_map):
-    p = tmp_path / "m.csv"
-    save_map(p, sample_map)
-    m = load_map(p)
-    table = weakref.ref(m.intensity.base)   # the parsed table
-    axes = m.axes
-    del m
-    gc.collect()
-    assert table() is None
-    np.testing.assert_array_equal(axes.wavelength_nm,
-                                  sample_map.axes.wavelength_nm)
 
 
 def test_csv_hand_made_map_loads(tmp_path):
@@ -321,3 +307,59 @@ def test_no_partial_file_when_a_chunk_fails(tmp_path):
     with pytest.raises(OSError):
         mapio._atomic_write_bytes(tmp_path / "t.csv", chunks())
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def tall_map():
+    # 100 rows: three full 32-row blocks and a partial one
+    rng = np.random.default_rng(19)
+    axes = MapAxes(np.linspace(600.0, 615.0, 100), np.linspace(-5e-3, 5e-3, 9))
+    return IntensityMap(axes, rng.uniform(0.1, 2.0, axes.shape), {"k": 1})
+
+
+@pytest.mark.parametrize("calls", [
+    [range(100)], [range(0, 100, 7)], [[3], [4, 5], range(31, 33), [99]],
+    [[0, 0, 1], [40, 40], []],
+], ids=["all", "strided", "several_calls", "repeated"])
+@pytest.mark.parametrize("suffix", [".nlm", ".csv", ".pgm"])
+def test_reader_rows_equal_load_map_rows(tmp_path, tall_map, suffix, calls):
+    path = tmp_path / f"m{suffix}"
+    save_map(path, tall_map)
+    whole = load_map(path)
+    with open_map(path) as reader:
+        assert reader.meta == whole.meta
+        np.testing.assert_array_equal(reader.axes.wavelength_nm,
+                                      whole.axes.wavelength_nm)
+        np.testing.assert_array_equal(reader.axes.angle_rad,
+                                      whole.axes.angle_rad)
+        for idx in calls:
+            np.testing.assert_array_equal(reader.rows(list(idx)),
+                                          whole.intensity[list(idx)])
+        reader.read_to_end()
+        with pytest.raises(ValueError, match="increasing"):
+            reader.rows([50])
+
+
+@pytest.mark.parametrize("suffix", [".nlm", ".csv"])
+def test_reader_checks_the_rows_it_skips(tmp_path, tall_map, suffix):
+    # a NaN in row 70, which no call below asks for
+    path = tmp_path / f"m{suffix}"
+    save_map(path, tall_map)
+    if suffix == ".nlm":
+        blob = bytearray(path.read_bytes())
+        at = len(blob) - tall_map.intensity.nbytes + (70 * 9 + 4) * 8
+        blob[at:at + 8] = np.array([math.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+    else:
+        lines = path.read_text().splitlines()
+        cells = lines[3 + 70].split(",")
+        cells[5] = "nan"
+        lines[3 + 70] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    with open_map(path) as reader:
+        np.testing.assert_array_equal(reader.rows([10, 60]),
+                                      tall_map.intensity[[10, 60]])
+        with pytest.raises(MapFormatError, match="row 70 is not"):
+            reader.read_to_end()
+    with pytest.raises(MapFormatError, match="finite"):
+        load_map(path)

@@ -83,6 +83,14 @@ def test_native_map_io_peaks(demo_maps, tmp_path):
     assert load_peak <= 1.2 * back.intensity.nbytes
 
 
+def test_csv_map_load_peak_is_the_map_and_a_block(demo_maps, tmp_path):
+    path = tmp_path / "s.csv"
+    save_map(path, demo_maps[0])
+    back, peak = _peak_bytes(lambda: load_map(path))
+    assert np.array_equal(back.intensity, demo_maps[0].intensity)
+    assert peak <= back.intensity.nbytes + 1 * MIB
+
+
 def test_csv_map_save_peak_is_a_block(demo_maps, tmp_path):
     path = tmp_path / "s.csv"
     _, peak = _peak_bytes(lambda: save_map(path, demo_maps[0]))
@@ -94,14 +102,15 @@ def test_csv_map_save_peak_is_a_block(demo_maps, tmp_path):
 
 @pytest.fixture(scope="module")
 def demo_files(demo, demo_maps, tmp_path_factory):
-    """The demo maps under 1e-3 noise, in memory and as .nlm and .csv."""
+    """The demo maps under 1e-3 noise, in memory and as .nlm, .csv and
+    .pgm."""
     d = tmp_path_factory.mktemp("maps")
     rng = np.random.default_rng(15)
     maps = [IntensityMap(demo.axes, with_gaussian_noise(m.intensity, 1e-3,
                                                         rng), {"map": kind})
             for m, kind in zip(demo_maps, ("sample", "reference"))]
     for m, kind in zip(maps, ("sample", "reference")):
-        for suffix in (".nlm", ".csv"):
+        for suffix in (".nlm", ".csv", ".pgm"):
             save_map(d / f"{kind}{suffix}", m)
     return d, maps
 
@@ -140,6 +149,63 @@ def test_cli_retrieve_peak_is_one_map_and_a_block(demo_files, suffix,
         *options]))
     assert code == 0
     assert peak <= maps[0].intensity.nbytes + 2.5 * MIB
+
+
+@pytest.fixture(scope="module")
+def tall_files(demo, tmp_path_factory):
+    """A noisy map pair with twice the demo's rows, as .nlm and .csv."""
+    d = tmp_path_factory.mktemp("tall")
+    lam = demo.axes.wavelength_nm
+    axes = MapAxes(np.linspace(lam[0], lam[-1], 2 * lam.size),
+                   demo.axes.angle_rad)
+    rng = np.random.default_rng(16)
+    for gas, kind in ((demo.gas, "sample"), (demo.vacuum, "reference")):
+        m = IntensityMap(axes, with_gaussian_noise(
+            simulate_map(demo.geom, gas, axes), 1e-3, rng))
+        for suffix in (".nlm", ".csv"):
+            save_map(d / f"{kind}{suffix}", m)
+    return d
+
+
+@pytest.mark.parametrize("suffix, options", [
+    (".nlm", ()), (".csv", ()),
+    (".nlm", ("--engine", "extrema")), (".csv", ("--engine", "extrema")),
+], ids=[".nlm", ".csv", ".nlm-extrema", ".csv-extrema"])
+def test_cli_retrieve_peak_is_blocks_not_maps(demo_files, tall_files, suffix,
+                                              options, tmp_path):
+    # the maps stream: no map-sized buffer, so twice the rows costs
+    # only the per-row results
+    peaks = []
+    for d in (demo_files[0], tall_files):
+        code, peak = _peak_bytes(lambda: main([
+            "retrieve", str(d / f"sample{suffix}"),
+            str(d / f"reference{suffix}"), str(data_path("co2_demo.cfg")),
+            "-o", str(tmp_path / "r.csv"), *options]))
+        assert code == 0
+        peaks.append(peak)
+    assert peaks[0] <= 3 * MIB
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+@pytest.mark.parametrize("suffix", [".nlm", ".csv", ".pgm"])
+def test_retrieve_returns_rows_in_the_order_asked(demo, demo_files, suffix):
+    d, _ = demo_files
+    paths = str(d / f"sample{suffix}"), str(d / f"reference{suffix}")
+    maps = [load_map(p) for p in paths]
+    asked = [300, 7, 511, 7, 0, 64, 300, 65]
+    fitted = np.unique(asked)
+    where = np.searchsorted(fitted, asked)
+    in_order = retrieve(*maps, demo.geom, rows=fitted,
+                        sample_visible_index=demo.n_vis)
+    for source in (paths, maps):
+        res = retrieve(*source, demo.geom, rows=asked,
+                       sample_visible_index=demo.n_vis)
+        np.testing.assert_array_equal(res.rows, asked)
+        for name in ("wavelength_nm", "idler_nu_cm", "visibility", "alpha_cm",
+                     "alpha_sigma_cm", "phase_shift_rad", "index_offset",
+                     "index_offset_sigma"):
+            np.testing.assert_array_equal(getattr(res, name), getattr(
+                in_order, name)[where], err_msg=name)
 
 
 # ------------------------------------ the same bits with a partial block
