@@ -32,10 +32,11 @@ from .errors import (
 )
 from .interferometer import (
     collinear_phase_matching_angle,
+    row_blocks,
     simulate_map,
     with_gaussian_noise,
 )
-from .mapio import IntensityMap, load_map, save_map
+from .mapio import IntensityMap, open_map, save_map
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -165,15 +166,19 @@ def _cmd_pump_angle(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    m = load_map(args.map)
-    lam = m.axes.wavelength_nm
-    ang = m.axes.angle_rad
+    # a running range over row blocks, so no whole map is held
+    low, high = math.inf, -math.inf
+    with open_map(args.map) as reader:
+        lam, ang = reader.axes.wavelength_nm, reader.axes.angle_rad
+        for blk in row_blocks(lam.size):
+            rows = reader.rows(range(lam.size)[blk])
+            low, high = min(low, rows.min()), max(high, rows.max())
     print(f"{args.map}: {lam.size} wavelengths x {ang.size} angles")
     print(f"  wavelength {lam[0]:.6g} .. {lam[-1]:.6g} nm")
     print(f"  angle {ang[0] * 1e3:.6g} .. {ang[-1] * 1e3:.6g} mrad")
-    print(f"  intensity {m.intensity.min():.6g} .. {m.intensity.max():.6g}")
-    if m.meta:
-        print("  meta: " + json.dumps(m.meta, sort_keys=True))
+    print(f"  intensity {low:.6g} .. {high:.6g}")
+    if reader.meta:
+        print("  meta: " + json.dumps(reader.meta, sort_keys=True))
     return 0
 
 

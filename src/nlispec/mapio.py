@@ -82,19 +82,21 @@ class IntensityMap:
 
 def _atomic_write_bytes(path, payload):
     """Write `payload`, one bytes-like object or an iterable of them in
-    file order, to `path` atomically."""
+    file order, to `path` atomically; an OSError names `path`."""
     if isinstance(payload, (bytes, bytearray, memoryview)):
         payload = (payload,)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
         with os.fdopen(fd, "wb") as fh:
-            for chunk in payload:
-                fh.write(chunk)
+            fh.writelines(payload)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno:  # name `path`, not `tmp`
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

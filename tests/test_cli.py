@@ -250,6 +250,27 @@ def test_exit_code_missing_input(workdir, tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+@pytest.mark.parametrize("command", ["simulate", "retrieve"])
+def test_failed_write_names_the_output_file(workdir, tmp_path, capsys,
+                                            command, target):
+    out = tmp_path / ("x.nlm" if command == "simulate" else "x.csv")
+    if target == "directory":
+        out.mkdir()
+    else:
+        out = tmp_path / "missing" / out.name
+    inputs = {"simulate": ["run.cfg"],
+              "retrieve": ["sample.nlm", "reference.nlm", "run.cfg"]}
+    code = main([command, *(str(workdir / f) for f in inputs[command]),
+                 "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"'{out}'" in err and ".part" not in err
+    # nothing is left behind beside the output
+    assert [p.name for p in tmp_path.iterdir()] == (
+        [out.name] if target == "directory" else [])
+
+
 def test_exit_code_corrupt_map(workdir, tmp_path):
     junk = tmp_path / "junk.nlm"
     junk.write_bytes(b"not a map at all")

@@ -296,3 +296,67 @@ def test_geometry_validation(const_crystal):
     geom = InterferometerGeometry(const_crystal, 0.05, 2.5, 532.0)
     assert geom.pump_angle == const_crystal.cut_angle_rad
     assert geom.pump_index() == pytest.approx(2.2, rel=1e-12)
+
+
+# ------------------------------------------- independent forward renderer
+
+def _oracle_intensity(geom, gas, axes, nodes=64):
+    """The two-crystal map from first principles, sharing no code with
+    `simulate_map`'s phase and amplitude terms.
+
+    Each crystal's pair amplitude S = int_0^L exp(i dk z) dz is a
+    Gauss-Legendre sum, and I = (|S1|^2 + |S2|^2 + 2 Re(conj(S1) S2 t))
+    / 4L^2.  Crystal 2's pairs lag crystal 1's by the crystal and the
+    gap: the idler crosses the gap with k_iz = sqrt(k_i^2 - q^2),
+    k_i = 2 pi nu (n + i kappa), kappa = alpha / (4 pi nu), so
+    |t| = exp(-Im k_iz L_m).
+    """
+    two_pi = 2.0 * math.pi
+    lam_p = geom.pump_wavelength_nm * 1e-7                 # cm
+    lam_s = axes.wavelength_nm[:, None] * 1e-7
+    lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s)
+    q = two_pi / lam_s * np.sin(axes.angle_rad)
+
+    def k_z(k):
+        return np.sqrt(k * k - q * q)
+
+    n_o = geom.crystal.n_ordinary
+    dk = (two_pi * geom.pump_index() / lam_p
+          - k_z(two_pi * n_o(lam_s * 1e4) / lam_s)
+          - k_z(two_pi * n_o(lam_i * 1e4) / lam_i))
+    length = geom.crystal_length_cm
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    z = 0.5 * length * (u + 1.0)
+    s1 = 0.5 * length * sum(wj * np.exp(1j * dk * zj) for wj, zj in zip(w, z))
+    s2 = s1                                          # identical crystals
+
+    n_vis = gas.visible_index()
+    nu_i = 1.0 / lam_i
+    kappa = gas.idler_absorption_at(lam_i * 1e7) / (2.0 * two_pi * nu_i)
+    k_iz = k_z(two_pi * nu_i * (gas.idler_index_at(lam_i * 1e7) + 1j * kappa))
+    gap = (two_pi * n_vis / lam_p - k_z(two_pi * n_vis / lam_s)
+           - k_iz.real) * geom.gap_length_cm
+    t = (np.exp(1j * (dk * length + gap))
+         * np.exp(-k_iz.imag * geom.gap_length_cm))
+    return ((abs(s1) ** 2 + abs(s2) ** 2 + 2.0 * (s1.conj() * s2 * t).real)
+            / (4.0 * length ** 2))
+
+
+@pytest.mark.parametrize("pressure", [
+    "vacuum",
+    pytest.param("10.5 Torr", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 12")),
+])
+def test_simulate_map_matches_an_independent_renderer(pressure):
+    from nlispec.config import (build_axes, build_gas, build_geometry,
+                                build_vacuum, load_run_config)
+
+    cfg = load_run_config(data_path("co2_demo.cfg"))
+    geom = build_geometry(cfg)
+    demo = build_axes(cfg)
+    axes = MapAxes(demo.wavelength_nm[::4], demo.angle_rad[::8])
+    gas = build_vacuum(cfg) if pressure == "vacuum" else build_gas(cfg)
+    got = simulate_map(geom, gas, axes)
+    want = _oracle_intensity(geom, gas, axes)
+    assert got.shape == (128, 80)
+    assert np.abs(got - want).max() <= 1e-10 * want.max()

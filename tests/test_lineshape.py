@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,6 +439,26 @@ def test_alpha_within_budget_of_line_by_line(case):
     want = _alpha_line_by_line(lines, nu, p, 300.0, 44.0095, cutoff)
     assert np.abs(got - want).max() <= ALPHA_BUDGET * want.max()
     assert np.all(got >= 0.0)
+
+
+def test_alpha_peak_memory_is_a_chunk_of_lines():
+    # absorption_coefficient's docstring: 2000 lines on a 22k-point grid
+    # peak under 2 MiB, because scratch is sized by a chunk of lines
+    lines, nu, p, cutoff = _oracle_case("dense_band")
+    assert (len(lines), nu.size) == (2000, 22419)
+
+    def call():
+        return absorption_coefficient(lines, nu, p, 300.0, 44.0095,
+                                      wing_cutoff_cm=cutoff)
+
+    call()                               # first-call caches stay out
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
 
 
 def test_alpha_wing_cutoff_truncates():

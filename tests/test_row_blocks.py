@@ -151,6 +151,20 @@ def test_cli_retrieve_peak_is_one_map_and_a_block(demo_files, suffix,
     assert peak <= maps[0].intensity.nbytes + 2.5 * MIB
 
 
+# a .pgm reader holds the file's 16-bit levels, a quarter of the map
+@pytest.mark.parametrize("suffix, bound", [
+    (".nlm", 1 * MIB), (".csv", 1 * MIB), (".pgm", 2 * MIB)])
+def test_cli_info_reads_one_block_at_a_time(demo_files, suffix, bound,
+                                            capsys):
+    path = str(demo_files[0] / f"sample{suffix}")
+    code, peak = _peak_bytes(lambda: main(["info", path]))
+    assert code == 0
+    assert peak <= bound
+    m = load_map(path)
+    assert f"intensity {m.intensity.min():.6g} .. {m.intensity.max():.6g}\n" \
+        in capsys.readouterr().out
+
+
 @pytest.fixture(scope="module")
 def tall_files(demo, tmp_path_factory):
     """A noisy map pair with twice the demo's rows, as .nlm and .csv."""
