@@ -24,10 +24,12 @@ _EXPORTS = {
                "MapFormatError", "NlispecError", "ValidityRangeError"),
     "gas": ("GasState",),
     "interferometer": ("InterferometerGeometry", "MapAxes",
-                       "check_beam_overlap", "collinear_phase_matching_angle",
+                       "absorption_from_visibility", "check_beam_overlap",
+                       "collinear_phase_matching_angle",
                        "crystal_phase_mismatch", "detector_angle_axis",
-                       "gap_fringe_amplitude", "gap_phase",
-                       "idler_wavelength_nm", "interference_intensity",
+                       "fringe_template", "gap_fringe_amplitude",
+                       "gap_mismatch", "gap_phase", "idler_wavelength_nm",
+                       "index_offset_from_phase", "interference_intensity",
                        "lambda_nm_from_nu_cm", "nu_cm_from_lambda_nm",
                        "simulate_map", "with_gaussian_noise"),
     "kk": ("index_change_from_absorption", "index_change_weights"),
@@ -37,10 +39,9 @@ _EXPORTS = {
                   "save_line_csv", "voigt_profile"),
     "mapio": ("IntensityMap", "load_map", "save_map"),
     "resources": ("data_path",),
-    "retrieval": ("RetrievalResult", "RowEstimate",
-                  "absorption_from_visibility", "fit_rows_extrema",
-                  "fit_rows_model", "index_offset_from_phase",
-                  "load_result_csv", "retrieve", "save_result_csv"),
+    "retrieval": ("RetrievalResult", "RowEstimate", "fit_rows_extrema",
+                  "fit_rows_model", "load_result_csv", "retrieve",
+                  "save_result_csv"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -336,7 +336,6 @@ def build_gas(cfg: RunConfig) -> GasState:
         visible=cfg.visible, nu_grid_cm=gas_grid(cfg, lines),
         x_self=cfg.self_fraction, wing_cutoff_cm=cfg.wing_cutoff_cm,
         partition_ratio=cfg.partition_ratio,
-        label=os.path.basename(cfg.lines_path),
     )
 
 

@@ -44,7 +44,6 @@ class GasState:
     idler_nu_cm: np.ndarray | None = field(default=None, repr=False)
     idler_alpha_cm: np.ndarray | None = field(default=None, repr=False)
     idler_index: np.ndarray | None = field(default=None, repr=False)
-    label: str = ""
 
     def __post_init__(self):
         if self.p_torr < 0:
@@ -61,13 +60,13 @@ class GasState:
 
     @classmethod
     def vacuum(cls, t_k: float = 300.0) -> "GasState":
-        return cls(p_torr=0.0, t_k=t_k, label="vacuum")
+        return cls(p_torr=0.0, t_k=t_k)
 
     @classmethod
     def from_lines(cls, lines, p_torr, t_k, molar_mass_g, *, visible=None,
                    nu_grid_cm=None, x_self=1.0,
                    wing_cutoff_cm=DEFAULT_WING_CUTOFF_CM,
-                   partition_ratio=1.0, baseline=None, label="") -> "GasState":
+                   partition_ratio=1.0, baseline=None) -> "GasState":
         """Build a causal sample from a line list.
 
         alpha comes from the line-by-line sum; the idler index is
@@ -100,7 +99,7 @@ class GasState:
                 "idler index leaves (0, inf): absorption too strong for "
                 "this grid")
         return cls(p_torr=p_torr, t_k=t_k, visible=visible, idler_nu_cm=nu,
-                   idler_alpha_cm=alpha, idler_index=index, label=label)
+                   idler_alpha_cm=alpha, idler_index=index)
 
     # ---------------------------------------------------------- queries
 

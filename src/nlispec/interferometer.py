@@ -24,13 +24,25 @@ external detection angle, so refraction at every interface is implied.
 Wavelengths are vacuum values tied by 1/lambda_p = 1/lambda_s +
 1/lambda_i.
 
+The fit template of `retrieval` is this pattern with the idler at the
+visible-band index n_vis of the gap: `fringe_template` gives the parts
+a sample map and its evacuated reference share, `gap_mismatch` the gap
+term that differs.  Against it a row's phase moves by d m, m the
+off-axis steepening 1/sqrt(1 - (q / k_i)^2).  One convention ties the
+gap terms to their inverses, with V = tau_sample / tau_reference and
+dphi = d_sample - d_reference:
+
+    tau = exp(-alpha_i L_m),                so alpha_i = -ln(V) / L_m;
+    d = -2 pi (n_i - n_vis) L_m / lambda_i, so
+        n_i - n_vis = -dphi lambda_i / (2 pi L_m).
+
 Angles are radians; wavelengths nm; lengths cm; alpha cm^-1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -174,12 +186,9 @@ def _kz(k, q):
 
 def _mismatch(geom: InterferometerGeometry, length_cm, n_pump, n_signal,
               n_idler, lambda_s_nm, theta_rad) -> np.ndarray:
-    """(k_pz - k_sz - k_iz) * length [rad], shape (n_wavelength, n_angle).
-
-    The pump is collinear at index `n_pump`; signal and idler share the
-    transverse q = (2 pi / lambda_s) sin(theta) at `n_signal` and
-    `n_idler` (scalars or one value per signal wavelength).
-    """
+    """(k_pz - k_sz - k_iz) * length [rad], shape (n_wavelength, n_angle),
+    for a collinear pump at index `n_pump`, and signal and idler at
+    `n_signal` and `n_idler` sharing q = (2 pi / lambda_s) sin(theta)."""
     lam_s = np.atleast_1d(np.asarray(lambda_s_nm, dtype=float))
     lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lam_s)
     k_p = wavevector(n_pump, geom.pump_wavelength_nm / NM_PER_CM)
@@ -187,7 +196,10 @@ def _mismatch(geom: InterferometerGeometry, length_cm, n_pump, n_signal,
     k_i = np.atleast_1d(wavevector(n_idler, lam_i / NM_PER_CM))[:, None]
     th = np.atleast_1d(np.asarray(theta_rad, dtype=float))[None, :]
     q = 2.0 * math.pi / (lam_s[:, None] / NM_PER_CM) * np.sin(th)
-    return (k_p - _kz(k_s, q) - _kz(k_i, q)) * length_cm
+    out = (k_p - _kz(k_s, q) - _kz(k_i, q)) * length_cm
+    if not np.all(np.isfinite(out)):
+        raise ValidityRangeError("phase mismatch out of floating-point range")
+    return out
 
 
 def crystal_phase_mismatch(geom: InterferometerGeometry, lambda_s_nm,
@@ -200,14 +212,31 @@ def crystal_phase_mismatch(geom: InterferometerGeometry, lambda_s_nm,
                      geom.crystal.n_ordinary(lam_i * 1e-3), lam_s, theta_rad)
 
 
+def gap_mismatch(geom: InterferometerGeometry, visible_index, idler_index,
+                 lambda_s_nm, theta_rad) -> np.ndarray:
+    """delta_m [rad] across the gap, (n_wavelength, n_angle), with pump
+    and signal at `visible_index`, the idler at `idler_index` (or per row)."""
+    return _mismatch(geom, geom.gap_length_cm, visible_index, visible_index,
+                     idler_index, lambda_s_nm, theta_rad)
+
+
 def gap_phase(geom: InterferometerGeometry, gas: GasState, lambda_s_nm,
               theta_rad) -> np.ndarray:
     """delta_m [rad] across the gas-filled gap, shape (n_wavelength, n_angle)."""
-    lam_s = np.atleast_1d(np.asarray(lambda_s_nm, dtype=float))
-    lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lam_s)
-    n_vis = gas.visible_index()
-    return _mismatch(geom, geom.gap_length_cm, n_vis, n_vis,
-                     gas.idler_index_at(lam_i), lam_s, theta_rad)
+    lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lambda_s_nm)
+    return gap_mismatch(geom, gas.visible_index(), gas.idler_index_at(lam_i),
+                        lambda_s_nm, theta_rad)
+
+
+def index_offset_from_phase(phase_shift_rad, idler_wavelength_nm_,
+                            gap_length_cm: float):
+    """(n_idler - n_visible) from the referenced fringe phase shift."""
+    if gap_length_cm <= 0:
+        raise ValueError("non-positive gap length")
+    lam_cm = np.asarray(idler_wavelength_nm_, dtype=float) * 1e-7
+    out = (-np.asarray(phase_shift_rad, dtype=float) * lam_cm
+           / (2.0 * math.pi * gap_length_cm))
+    return float(out) if np.isscalar(phase_shift_rad) else out
 
 
 def gap_fringe_amplitude(geom: InterferometerGeometry, gas: GasState,
@@ -219,19 +248,44 @@ def gap_fringe_amplitude(geom: InterferometerGeometry, gas: GasState,
     return np.exp(-alpha * geom.gap_length_cm)
 
 
+def absorption_from_visibility(visibility, gap_length_cm: float):
+    """alpha [cm^-1] from referenced visibility V = exp(-alpha L_m).
+
+    V > 1 gives a negative alpha, which is kept: near zero absorption
+    noise pushes V either way, and the two signs average out.
+    """
+    if gap_length_cm <= 0:
+        raise ValueError("non-positive gap length")
+    v = np.asarray(visibility, dtype=float)
+    if np.any(v <= 0):
+        raise ValueError("visibility must be positive")
+    alpha = -np.log(v) / gap_length_cm
+    return float(alpha) if np.isscalar(visibility) else alpha
+
+
+def _envelope(delta):
+    """The single-crystal emission envelope sinc^2(delta / 2)."""
+    return np.sinc(np.asarray(delta) / (2.0 * math.pi)) ** 2
+
+
+def fringe_template(geom: InterferometerGeometry, lambda_s_nm, theta_rad):
+    """(delta, sinc^2(delta / 2), m) per row: the template parts that a
+    sample map and its reference share (m for an idler at index 1)."""
+    delta = crystal_phase_mismatch(geom, lambda_s_nm, theta_rad)
+    lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lambda_s_nm)
+    q_over_ki = np.sin(theta_rad)[None, :] * (lam_i / lambda_s_nm)[:, None]
+    return delta, _envelope(delta), 1.0 / np.sqrt(1.0 - q_over_ki**2)
+
+
 def interference_intensity(delta, delta_m, tau) -> np.ndarray:
     """Normalized signal intensity, bounded by [0, 1] for tau <= 1."""
-    envelope = np.sinc(np.asarray(delta) / (2.0 * math.pi)) ** 2
-    return 0.5 * envelope * (1.0 + tau * np.cos(delta + delta_m))
+    return 0.5 * _envelope(delta) * (1.0 + tau * np.cos(delta + delta_m))
 
 
 def check_beam_overlap(geom: InterferometerGeometry, axes: MapAxes) -> float:
-    """Worst transverse idler walk across the gap [cm].
-
-    The quasi-collinear picture needs the idler emitted at the largest
-    detection angle to stay inside the pumped region; returns the walk
-    and raises if it exceeds the geometry's aperture.
-    """
+    """Worst transverse idler walk across the gap [cm]; raises if it
+    exceeds the aperture, the pumped region that the quasi-collinear
+    picture needs the idler emitted at the largest angle to stay in."""
     lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, axes.wavelength_nm)
     ratio = (lam_i / axes.wavelength_nm).max()
     theta_i = ratio * np.abs(axes.angle_rad).max()

@@ -33,11 +33,12 @@ that fits every 4th row fails on exactly the files that `load_map`
 rejects.  `load_map` is "open and read every row".  A `.csv` reader
 counts the cells of every line and takes its wavelength axis from the
 first cells in one pass over the file on open, and parses the rows in
-a second; a `.pgm` reader holds the 16-bit levels, a quarter of the
-float map.
+a second.  Writers stream too: they encode one block of rows at a time.
 
 All writes are atomic (temp file in the destination directory, then
-rename), so a crash never leaves a half-written file behind.
+rename), so a crash never leaves a half-written file behind; a `.pgm`
+save that fails removes the image it already wrote.  A file is created
+as `open` creates it, mode 0666 less the umask.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import itertools
 import json
 import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +57,10 @@ from .interferometer import BLOCK_ROWS, MapAxes, row_blocks
 
 _MAGIC = b"NLIMAP1\n"
 _PGM_MAXVAL = 65535
+_PGM_LINE = 80   # the longest PGM header line read
 _CELL = "%.17g"
 _F8 = np.dtype("<f8")   # the .nlm payload
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,13 @@ def _atomic_write_bytes(path, payload):
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
+        # an exclusive create under a random name, as tempfile.mkstemp
+        # does, but with open()'s mode rather than mkstemp's 0600
+        while tmp is None:
+            name = os.path.join(directory, f"tmp{os.urandom(6).hex()}.part")
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(name, _CREATE, 0o666)
+                tmp = name
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(payload)
         os.replace(tmp, path)
@@ -135,6 +143,8 @@ class MapReader:
     is closed by `close` or at the end of a `with` block.
     """
 
+    _fh = None   # the open file of a reader that reads one
+
     def __init__(self, source, axes: MapAxes, meta):
         self.source, self.axes, self.meta = source, axes, meta
         self._next = 0   # the first file row not read yet
@@ -178,7 +188,8 @@ class MapReader:
         raise NotImplementedError
 
     def close(self) -> None:
-        pass
+        if self._fh is not None:
+            self._fh.close()
 
     def __enter__(self):
         return self
@@ -250,9 +261,6 @@ class _NativeReader(MapReader):
             raise MapFormatError(f"{self.source}: truncated data")
         if not _F8.isnative:
             rows.byteswap(inplace=True)
-
-    def close(self):
-        self._fh.close()
 
 
 # ---------------------------------------------------------------- text tables
@@ -421,32 +429,36 @@ class _CsvReader(MapReader):
                 self._lines, len(rows)), rows.shape[1] + 1)
         rows[...] = table[:, 1:]
 
-    def close(self):
-        self._fh.close()
-
 
 # ---------------------------------------------------------------- pgm
 
 def _save_pgm(path, m: IntensityMap):
     lo = float(m.intensity.min())
-    hi = float(m.intensity.max())
-    span = hi - lo
-    if span == 0.0:
-        levels = np.zeros(m.axes.shape, dtype=">u2")
-    else:
-        norm = (m.intensity - lo) / span
-        levels = np.rint(norm * _PGM_MAXVAL).astype(">u2")
+    span = float(m.intensity.max()) - lo
     rows, cols = m.axes.shape
-    header = f"P5\n{cols} {rows}\n{_PGM_MAXVAL}\n".encode("ascii")
-    _atomic_write_bytes(path, header + levels.tobytes(order="C"))
+
+    def levels():
+        yield f"P5\n{cols} {rows}\n{_PGM_MAXVAL}\n".encode("ascii")
+        for blk in row_blocks(rows):
+            norm = m.intensity[blk] - lo   # all zero if span == 0
+            if span:
+                norm /= span
+            norm *= _PGM_MAXVAL
+            yield memoryview(np.rint(norm, out=norm).astype(">u2"))
+
+    _atomic_write_bytes(path, levels())
     side = dict(_header_dict(m), intensity_offset=lo,
                 intensity_span=span, maxval=_PGM_MAXVAL)
-    _atomic_write_bytes(str(path) + ".json",
-                        json.dumps(side, indent=1).encode("utf-8"))
+    try:
+        _atomic_write_bytes(path + ".json",
+                            json.dumps(side, indent=1).encode("utf-8"))
+    except BaseException:
+        with contextlib.suppress(OSError):   # no image without a sidecar
+            os.unlink(path)
+        raise
 
 
 class _PgmReader(MapReader):
-    # the 16-bit levels, a quarter of the float map, are read on open
     def __init__(self, path):
         sidecar = str(path) + ".json"
         try:
@@ -466,25 +478,38 @@ class _PgmReader(MapReader):
                 from None
         if not np.all(np.isfinite((self._offset, self._span))):
             raise MapFormatError(f"{sidecar}: intensity scale is not finite")
-        with open(path, "rb") as fh:
-            parts = fh.read().split(b"\n", 3)
-        if len(parts) < 4 or parts[0] != b"P5":
+        self._fh = open(path, "rb")
+        try:
+            self._read_header(path, axes)
+        except BaseException:
+            self._fh.close()
+            raise
+        super().__init__(path, axes, side.get("meta", {}))
+
+    def _read_header(self, path, axes):
+        # three newline-ended lines: P5, the width and height, the maxval
+        fh = self._fh
+        lines = [fh.readline(_PGM_LINE) for _ in range(3)]
+        if lines[0] != b"P5\n" or not all(line.endswith(b"\n")
+                                          for line in lines[1:]):
             raise MapFormatError(f"{path}: not a binary 16-bit PGM")
         try:
-            cols, rows = (int(t) for t in parts[1].split())
-            maxval = int(parts[2])
+            cols, rows = (int(t) for t in lines[1].split())
+            maxval = int(lines[2])
         except ValueError as exc:
             raise MapFormatError(f"{path}: bad PGM header: {exc}") from None
         if maxval != _PGM_MAXVAL or (rows, cols) != axes.shape:
             raise MapFormatError(f"{path}: PGM header disagrees with sidecar")
-        if len(parts[3]) != rows * cols * 2:
+        if os.fstat(fh.fileno()).st_size - fh.tell() != rows * cols * 2:
             raise MapFormatError(f"{path}: truncated pixel data")
-        self._levels = np.frombuffer(parts[3], dtype=">u2").reshape(rows, cols)
-        super().__init__(path, axes, side.get("meta", {}))
 
     def _fill(self, block, rows):
-        rows[...] = (self._offset + self._levels[block] / _PGM_MAXVAL
-                     * self._span)
+        levels = np.empty(rows.shape, dtype=">u2")
+        if self._fh.readinto(levels) != levels.nbytes:
+            raise MapFormatError(f"{self.source}: truncated pixel data")
+        np.divide(levels, _PGM_MAXVAL, out=rows)
+        rows *= self._span
+        rows += self._offset
 
 
 # ---------------------------------------------------------------- front door

@@ -6,13 +6,13 @@ are processed row by row, i.e. one signal wavelength at a time:
   1. estimate the fringe amplitude tau and fringe phase of each row,
   2. reference the sample against the vacuum row: V = tau_s / tau_r,
      dphi = phase_s - phase_r, cancelling shared systematics,
-  3. invert  alpha = -ln(V) / L_m  and
-             n_idler - n_visible = -dphi lambda_i / (2 pi L_m).
+  3. invert V to alpha and dphi to n_idler - n_visible through the
+     inverses that `interferometer` keeps beside the gap terms.
 
 Two per-row estimators are available.  The model engine fits each row
-to the known vacuum fringe pattern A E (1 + tau cos(phi + d m)), with E
-the sinc^2 envelope and m the slight steepening of the phase shift off
-axis (factor 1/sqrt(1 - (q / k_i)^2)).  Once d is fixed the model is
+to the known vacuum fringe pattern A E (1 + tau cos(phi + d m)), whose
+phase phi, sinc^2 envelope E and off-axis steepening m of the phase
+shift come from `interferometer`.  Once d is fixed the model is
 linear in A and A tau, so the fit is repeated linear projections of a
 block of rows (separable least squares, Golub & Pereyra 1973).  Pass 0
 projects onto {E, E cos phi, E sin phi}: with coefficients (a0, ac, as)
@@ -33,10 +33,9 @@ while reading the rest; neither raises for a bad row.
 `retrieve` streams the two maps together: it opens both, compares
 their axes before it fits anything, and then runs one loop over blocks
 of rows that reads the block's rows of both maps and fits both.  The
-two maps come from one interferometer and differ only in what fills
-the gap, so the crystal phase mismatch, the sinc^2 envelope and the
-steepening are computed once per block, and each map adds only its own
-gap term at its visible-band index.  No whole map is held.
+template parts the two maps share (`fringe_template`) are computed
+once per block, and each map adds only its own gap term at its
+visible-band index.  No whole map is held.
 
 Because both rows of a pair are fitted identically, estimator bias is
 common mode: it divides out of V and subtracts out of dphi.
@@ -53,43 +52,15 @@ import numpy as np
 from .errors import AxisMismatchError, MapFormatError
 from .interferometer import (
     InterferometerGeometry,
-    _mismatch,
-    crystal_phase_mismatch,
+    absorption_from_visibility,
+    fringe_template,
+    gap_mismatch,
     idler_wavelength_nm,
+    index_offset_from_phase,
     nu_cm_from_lambda_nm,
     row_blocks,
 )
 from .mapio import open_map, read_text_table, write_text_table
-
-
-# ------------------------------------------------------------ inversions
-
-def absorption_from_visibility(visibility, gap_length_cm: float):
-    """alpha [cm^-1] from referenced visibility V = exp(-alpha L_m).
-
-    V > 1 gives a negative alpha, which is kept: near zero absorption
-    noise pushes V above 1 about as often as below it, and the negative
-    values average out with the positive ones.
-    """
-    if gap_length_cm <= 0:
-        raise ValueError("non-positive gap length")
-    v = np.asarray(visibility, dtype=float)
-    if np.any(v <= 0):
-        raise ValueError("visibility must be positive")
-    alpha = -np.log(v) / gap_length_cm
-    return float(alpha) if np.isscalar(visibility) else alpha
-
-
-def index_offset_from_phase(phase_shift_rad, idler_wavelength_nm_,
-                            gap_length_cm: float):
-    """(n_idler - n_visible) from the referenced fringe phase shift."""
-    if gap_length_cm <= 0:
-        raise ValueError("non-positive gap length")
-    lam_cm = np.asarray(idler_wavelength_nm_, dtype=float) * 1e-7
-    out = -np.asarray(phase_shift_rad, dtype=float) * lam_cm / (
-        2.0 * math.pi * gap_length_cm
-    )
-    return float(out) if np.isscalar(phase_shift_rad) else out
 
 
 # ------------------------------------------------------------ row estimators
@@ -143,20 +114,23 @@ def fit_rows_model(rows, envelope, phase, steepening=None, *,
     fit does not depend on the other rows.  A row whose phase still
     moves after _MAX_PASSES passes (a row of noise, say) keeps the
     linear stage and NaN sigmas.
-    A row whose projected amplitude is not positive is no fringe row:
-    every field of it is NaN, and the other rows are fitted as usual.
+    A row whose envelope is zero at every angle, or whose projected
+    amplitude is not positive, is no fringe row: every field of it is
+    NaN, and the other rows are fitted as usual.
     """
     y = np.atleast_2d(np.asarray(rows, dtype=float))
     env = np.broadcast_to(envelope, y.shape)
     phi = np.broadcast_to(phase, y.shape)
     m = np.broadcast_to(1.0 if steepening is None else steepening, y.shape)
     n, dof = y.shape[0], y.shape[1] - 3
-    at = np.arange(n)   # the rows still projected
-    delta = np.zeros(n)
-    lit = np.ones(n, dtype=bool)
+    lit = env.any(axis=1)   # a row without envelope is not projected
+    at = np.flatnonzero(lit)   # the rows still projected
+    if not lit.all():
+        y, env, phi, m = (a[lit] for a in (y, env, phi, m))
+    delta = np.zeros(at.size)
     settled = np.zeros(n, dtype=bool)
     # each row's fit, Gram matrix and rss from the last pass it took
-    last, gram, rss = np.empty((3, n)), np.empty((n, 3, 3)), np.empty(n)
+    last, gram, rss = np.empty((3, n)), np.zeros((n, 3, 3)), np.empty(n)
     sine_env = env   # pass 0 leaves the steepening out
     design = np.empty((n, 3, y.shape[1]))
     for k in range(_MAX_PASSES + 1 if polish else 1):
@@ -298,48 +272,23 @@ class RetrievalResult:
 def _row_indices(rows, n_rows: int) -> np.ndarray:
     """Indices of the wavelength rows `rows` (None for all, a slice, or
     indices) selects from a map of `n_rows` rows."""
-    if rows is None:
-        rows = slice(None)
-    if isinstance(rows, slice):
-        return np.arange(n_rows)[rows]
+    if rows is None or isinstance(rows, slice):
+        return np.arange(n_rows)[slice(None) if rows is None else rows]
     row_idx = np.atleast_1d(np.asarray(rows, dtype=int))
     if np.any(row_idx < 0) or np.any(row_idx >= n_rows):
         raise ValueError("row index out of range")
     return row_idx
 
 
-def _shared_pattern(geom: InterferometerGeometry, lambda_s_nm, theta_rad):
-    """Crystal phase mismatch, envelope and phase-shift steepening per
-    row: the parts of the fringe template that a sample map and its
-    reference share."""
-    delta = crystal_phase_mismatch(geom, lambda_s_nm, theta_rad)
-    envelope = np.sinc(delta / (2.0 * math.pi)) ** 2
-    lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lambda_s_nm)
-    q_over_ki = np.sin(theta_rad)[None, :] * (lam_i / lambda_s_nm)[:, None]
-    steepening = 1.0 / np.sqrt(1.0 - q_over_ki**2)
-    return delta, envelope, steepening
-
-
-def _gap_term(geom: InterferometerGeometry, lambda_s_nm, theta_rad,
-              visible_index: float):
-    """The gap's phase mismatch with all three waves at the visible-band
-    index of the medium in the gap: the one part of the template that
-    differs between a sample map and its reference."""
-    return _mismatch(geom, geom.gap_length_cm, visible_index, visible_index,
-                     visible_index, lambda_s_nm, theta_rad)
-
-
 def _model_pattern(geom: InterferometerGeometry, lambda_s_nm, theta_rad,
                    visible_index: float = 1.0):
-    """Template phase, envelope and phase-shift steepening per row.
-
-    The template puts all three waves at the known visible-band index
-    of the medium in the gap, so the fitted phase parameter measures
-    purely the idler index offset from that baseline.
-    """
-    delta, envelope, steepening = _shared_pattern(geom, lambda_s_nm,
+    """Template phase, envelope and steepening per row, all three waves
+    at the known visible-band index of the medium in the gap, so the
+    fitted phase measures the idler index offset from that baseline."""
+    delta, envelope, steepening = fringe_template(geom, lambda_s_nm,
                                                   theta_rad)
-    return (delta + _gap_term(geom, lambda_s_nm, theta_rad, visible_index),
+    return (delta + gap_mismatch(geom, visible_index, visible_index,
+                                 lambda_s_nm, theta_rad),
             envelope, steepening)
 
 
@@ -349,11 +298,8 @@ def retrieve(sample, reference, geom: InterferometerGeometry, *,
     """Recover alpha and the idler index offset per signal wavelength.
 
     `sample` and `reference` are each an IntensityMap or the path of a
-    map file.  Both are opened, and their axes compared, before any row
-    is fitted; then one loop over blocks of rows reads the block's rows
-    of both maps, builds the template they share once and fits both,
-    so no whole map is held unless one is passed in.  Every row of a
-    map file is read and checked, also the rows not fitted.
+    map file, streamed together (see the module docstring); every row
+    of a map file is read and checked, also the rows not fitted.
     `reference` must be recorded with an evacuated gap on identical
     axes.  `rows` selects a subset of wavelength rows (indices in any
     order, or a slice of the sample's rows); the default processes all
@@ -386,12 +332,13 @@ def retrieve(sample, reference, geom: InterferometerGeometry, *,
                 for k, y in enumerate(pair):
                     est[k, :, blk] = fit_rows_extrema(y)
                 continue
-            delta, envelope, steepening = _shared_pattern(
+            delta, envelope, steepening = fringe_template(
                 geom, lam_fit[blk], theta)
             # the reference gap is evacuated: visible index 1
             for k, (y, visible) in enumerate(zip(
                     pair, (sample_visible_index, 1.0))):
-                phase = _gap_term(geom, lam_fit[blk], theta, visible)
+                phase = gap_mismatch(geom, visible, visible, lam_fit[blk],
+                                     theta)
                 phase += delta
                 est[k, :, blk] = fit_rows_model(y, envelope, phase,
                                                 steepening, polish=polish)
@@ -405,7 +352,6 @@ def retrieve(sample, reference, geom: InterferometerGeometry, *,
     vis = est_s.contrast / est_r.contrast
     vis_sigma = vis * np.hypot(est_s.sigma_contrast / est_s.contrast,
                                est_r.sigma_contrast / est_r.contrast)
-
     alpha = absorption_from_visibility(vis, geom.gap_length_cm)
     alpha_sigma = vis_sigma / (vis * geom.gap_length_cm)
     offset = index_offset_from_phase(dphi, lam_i, geom.gap_length_cm)

@@ -2,9 +2,11 @@ import configparser
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import re
 import shutil
+import stat
 import struct
 import subprocess
 import sys
@@ -15,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nlispec import cli, data_path
 from nlispec.cli import _COMMANDS, main
-from nlispec.config import (build_axes, build_gas, build_geometry,
+from nlispec.config import (_KEYS, build_axes, build_gas, build_geometry,
                             build_vacuum, load_run_config)
 from nlispec.dispersion import gas_index
 from nlispec.errors import MapFormatError
@@ -544,6 +546,65 @@ def test_config_value_fuzz_exits_with_a_code(small_demo_config, tmp_path,
     assert main(["simulate", str(cfg), "-o", str(tmp_path / "x.nlm")]) \
         in (0, 1, 2, 3)
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def small_demo_pair(small_demo_config, tmp_path_factory):
+    """A 16 x 64 sample/reference pair simulated from the demo config."""
+    d = tmp_path_factory.mktemp("small_pair")
+    cfg = d / "run.cfg"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        small_demo_config.write(fh)
+    for name, vacuum in (("sample.nlm", []), ("reference.nlm", ["--vacuum"])):
+        assert main(["simulate", str(cfg), "-o", str(d / name),
+                     *vacuum]) == 0
+    return d / "sample.nlm", d / "reference.nlm"
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section, keys in _KEYS.items() for key in keys])
+def test_one_config_key_sweep_exits_with_a_code(small_demo_config,
+                                                small_demo_pair, tmp_path,
+                                                capsys, section, key):
+    # one key at a time, so no other bad key stops the run before it
+    for value in (0.0, -1.0, 5e-324, 1e300, math.nan, math.inf):
+        cp = configparser.ConfigParser()
+        cp.read_dict(small_demo_config)
+        cp[section][key] = repr(value)
+        cfg = tmp_path / "sweep.cfg"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        assert main(["simulate", str(cfg), "-o", str(tmp_path / "x.nlm")]) \
+            in (0, 1, 2), (key, value)
+        assert main(["retrieve", *map(str, small_demo_pair), str(cfg), "-o",
+                     str(tmp_path / "r.csv")]) in (0, 1, 2), (key, value)
+    capsys.readouterr()
+
+
+def test_outputs_take_the_umask_mode(workdir, tmp_path):
+    cfg = str(workdir / "run.cfg")
+    old = os.umask(0o022)
+    try:
+        for name in ("m.nlm", "m.csv", "m.pgm"):
+            assert main(["simulate", cfg, "-o", str(tmp_path / name)]) == 0
+        assert main(["retrieve", str(workdir / "sample.nlm"),
+                     str(workdir / "reference.nlm"), cfg, "-o",
+                     str(tmp_path / "r.csv"), "--every", "8"]) == 0
+    finally:
+        os.umask(old)
+    for name in ("m.nlm", "m.csv", "m.pgm", "m.pgm.json", "r.csv"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644, name
+
+
+@pytest.mark.parametrize("blocked", ["x.pgm.json", "x.pgm"])
+def test_failed_pgm_save_leaves_no_file(workdir, tmp_path, capsys, blocked):
+    # a directory stands where one of the two files goes
+    (tmp_path / blocked).mkdir()
+    assert main(["simulate", str(workdir / "run.cfg"), "-o",
+                 str(tmp_path / "x.pgm")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [blocked]
+    assert (tmp_path / blocked).is_dir()
 
 
 @pytest.mark.parametrize("option, edit", [

@@ -19,6 +19,7 @@ from nlispec.interferometer import (
     crystal_phase_mismatch,
     detector_angle_axis,
     gap_fringe_amplitude,
+    gap_mismatch,
     gap_phase,
     idler_wavelength_nm,
     interference_intensity,
@@ -211,6 +212,24 @@ def test_steep_angle_rejected(const_geom):
     # sin(theta) > lambda_s / lambda_i makes the gap idler evanescent
     with pytest.raises(ValueError, match="steep"):
         gap_phase(const_geom, VACUUM, 607.11, [0.2])
+
+
+def test_gap_mismatch_out_of_float_range_rejected(const_geom):
+    # a visible index of 1e300 overflows k^2 in the gap: an input error
+    # (exit 2), not a NaN fit template
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValidityRangeError, match="floating-point range"):
+        gap_mismatch(const_geom, 1e300, 1e300, [607.11], [0.0, 1e-3])
+
+
+def test_gap_phase_is_the_gap_mismatch_of_the_gas(const_geom):
+    lam, theta = np.array([604.0, 607.11, 611.0]), np.linspace(-5e-3, 5e-3, 9)
+    gas = flat_gas(dn=2e-5, alpha=0.3)
+    lam_i = idler_wavelength_nm(const_geom.pump_wavelength_nm, lam)
+    assert np.array_equal(
+        gap_phase(const_geom, gas, lam, theta),
+        gap_mismatch(const_geom, gas.visible_index(),
+                     gas.idler_index_at(lam_i), lam, theta))
 
 
 def test_noise_helper():

@@ -80,6 +80,19 @@ def test_fit_row_model_rejects_dark_row():
     assert est.phase_rad[1] == pytest.approx(0.3, abs=1e-9)
 
 
+def test_fit_rows_model_skips_a_row_without_envelope():
+    # an envelope that is zero at every angle leaves nothing to project
+    # (a singular Gram matrix); the row is NaN, its neighbour is fitted
+    row, envelope, phase = _synthetic_row(1.0, 0.5, 0.3)
+    for polish in (True, False):
+        est = fit_rows_model(np.vstack((row, row)),
+                             np.vstack((np.zeros_like(envelope), envelope)),
+                             phase, polish=polish)
+        assert all(math.isnan(field[0]) for field in est)
+        assert est.contrast[1] == pytest.approx(0.5, rel=1e-9)
+        assert est.phase_rad[1] == pytest.approx(0.3, abs=1e-9)
+
+
 def test_fit_rows_model_agrees_with_scipy_lm():
     # noisy rows with off-axis steepening: same optimum as MINPACK, and
     # sigmas from J^T J at that optimum scaled by cost / dof

@@ -98,6 +98,18 @@ def test_csv_map_save_peak_is_a_block(demo_maps, tmp_path):
     assert peak <= 1 * MIB
 
 
+def test_pgm_map_io_peaks(demo_maps, tmp_path):
+    # levels are quantized and read back one block of rows at a time
+    path = tmp_path / "s.pgm"
+    _, save_peak = _peak_bytes(lambda: save_map(path, demo_maps[0]))
+    back, load_peak = _peak_bytes(lambda: load_map(path))
+    truth = demo_maps[0].intensity
+    step = (truth.max() - truth.min()) / 65535
+    assert np.abs(back.intensity - truth).max() <= 0.5 * step * (1 + 1e-9)
+    assert save_peak <= 1 * MIB
+    assert load_peak <= back.intensity.nbytes + 0.5 * MIB
+
+
 # ----------------------------------------- retrieve holds one map at a time
 
 @pytest.fixture(scope="module")
