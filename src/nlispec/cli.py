@@ -32,11 +32,11 @@ from .errors import (
 )
 from .interferometer import (
     collinear_phase_matching_angle,
+    render_blocks,
     row_blocks,
-    simulate_map,
     with_gaussian_noise,
 )
-from .mapio import IntensityMap, open_map, save_map
+from .mapio import open_map, save_map_blocks
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -99,15 +99,24 @@ def _cmd_simulate(args) -> int:
     geom = build_geometry(cfg)
     axes = build_axes(cfg)
     gas = build_vacuum(cfg) if args.vacuum else build_gas(cfg)
-    intensity = simulate_map(geom, gas, axes)
 
     sigma_rel = cfg.noise_sigma_rel if args.noise is None else args.noise
     seed = cfg.noise_seed if args.seed is None else args.seed
     if sigma_rel > 0:
+        # the noise level scales with the map's maximum: a first
+        # rendering pass finds it
+        sigma = sigma_rel * max(float(b.max())
+                                for b in render_blocks(geom, gas, axes))
+
+    def blocks():
+        """One pass over the map's rows: rendered, noised and written a
+        row block at a time, with the same noise on every pass."""
+        rendered = render_blocks(geom, gas, axes)
+        if sigma_rel == 0:
+            return rendered
         # sample and reference get independent draws from one seed
         rng = np.random.default_rng([seed, int(args.vacuum)])
-        intensity = with_gaussian_noise(
-            intensity, sigma_rel * float(intensity.max()), rng)
+        return (with_gaussian_noise(b, sigma, rng) for b in rendered)
 
     meta = {
         "kind": "reference" if args.vacuum else "sample",
@@ -120,9 +129,9 @@ def _cmd_simulate(args) -> int:
         "noise_seed": seed if sigma_rel > 0 else None,
         "generator": f"nlispec {__version__}",
     }
-    save_map(args.output, IntensityMap(axes, intensity, meta))
+    save_map_blocks(args.output, axes, meta, blocks)
     print(f"wrote {meta['kind']} map "
-          f"{intensity.shape[0]}x{intensity.shape[1]} to {args.output}")
+          f"{axes.shape[0]}x{axes.shape[1]} to {args.output}")
     return 0
 
 

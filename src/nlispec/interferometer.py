@@ -36,6 +36,14 @@ dphi = d_sample - d_reference:
     d = -2 pi (n_i - n_vis) L_m / lambda_i, so
         n_i - n_vis = -dphi lambda_i / (2 pi L_m).
 
+The inverses also carry a standard error through to first order
+(sigma_alpha = sigma_V / (V L_m), sigma_n = sigma_phi lambda_i /
+(2 pi L_m)), so the convention and its error propagation live here.
+
+The map is rendered one block of `BLOCK_ROWS` rows at a time
+(`render_blocks`), so a caller that writes each block as it comes
+holds no whole map; `simulate_map` stacks the blocks.
+
 Angles are radians; wavelengths nm; lengths cm; alpha cm^-1.
 """
 
@@ -54,9 +62,9 @@ if TYPE_CHECKING:   # the map retrieval path never compiles the gas model
     from .gas import GasState
 
 NM_PER_CM = 1.0e7
-# Wavelength rows that every map-sized stage (rendering, fitting, text
-# output) handles at once: each stage's temporaries are one block of
-# rows, not a whole map.
+# Wavelength rows that every map-sized stage (rendering, noise, map
+# and text output, fitting) handles at once: each stage's temporaries
+# are one block of rows, not a whole map.
 BLOCK_ROWS = 32
 
 
@@ -229,14 +237,18 @@ def gap_phase(geom: InterferometerGeometry, gas: GasState, lambda_s_nm,
 
 
 def index_offset_from_phase(phase_shift_rad, idler_wavelength_nm_,
-                            gap_length_cm: float):
-    """(n_idler - n_visible) from the referenced fringe phase shift."""
+                            gap_length_cm: float, sigma=None):
+    """(n_idler - n_visible) from the referenced fringe phase shift; with
+    the phase shift's standard error `sigma`, (offset, its error)."""
     if gap_length_cm <= 0:
         raise ValueError("non-positive gap length")
     lam_cm = np.asarray(idler_wavelength_nm_, dtype=float) * 1e-7
     out = (-np.asarray(phase_shift_rad, dtype=float) * lam_cm
            / (2.0 * math.pi * gap_length_cm))
-    return float(out) if np.isscalar(phase_shift_rad) else out
+    out = float(out) if np.isscalar(phase_shift_rad) else out
+    if sigma is None:
+        return out
+    return out, lam_cm / (2.0 * math.pi * gap_length_cm) * sigma
 
 
 def gap_fringe_amplitude(geom: InterferometerGeometry, gas: GasState,
@@ -248,8 +260,10 @@ def gap_fringe_amplitude(geom: InterferometerGeometry, gas: GasState,
     return np.exp(-alpha * geom.gap_length_cm)
 
 
-def absorption_from_visibility(visibility, gap_length_cm: float):
-    """alpha [cm^-1] from referenced visibility V = exp(-alpha L_m).
+def absorption_from_visibility(visibility, gap_length_cm: float,
+                               sigma=None):
+    """alpha [cm^-1] from referenced visibility V = exp(-alpha L_m); with
+    the visibility's standard error `sigma`, (alpha, its error).
 
     V > 1 gives a negative alpha, which is kept: near zero absorption
     noise pushes V either way, and the two signs average out.
@@ -260,7 +274,10 @@ def absorption_from_visibility(visibility, gap_length_cm: float):
     if np.any(v <= 0):
         raise ValueError("visibility must be positive")
     alpha = -np.log(v) / gap_length_cm
-    return float(alpha) if np.isscalar(visibility) else alpha
+    alpha = float(alpha) if np.isscalar(visibility) else alpha
+    if sigma is None:
+        return alpha
+    return alpha, sigma / (v * gap_length_cm)
 
 
 def _envelope(delta):
@@ -298,31 +315,47 @@ def check_beam_overlap(geom: InterferometerGeometry, axes: MapAxes) -> float:
     return walk
 
 
-def simulate_map(geom: InterferometerGeometry, gas: GasState,
-                 axes: MapAxes) -> np.ndarray:
-    """Angular-wavelength intensity map, shape (n_wavelength, n_angle),
-    rendered one block of rows at a time.
+def render_blocks(geom: InterferometerGeometry, gas: GasState,
+                  axes: MapAxes):
+    """The rows of the intensity map, one `row_blocks` block at a time:
+    a generator of (block rows, n_angle) arrays in row order.
 
-    Raises ValidityRangeError where the inputs, each in range, still
-    drive the model out of floating-point range (a non-finite map).
+    The beam-overlap check runs when the first block is asked for.  A
+    block that the inputs, each in range, still drive out of
+    floating-point range raises ValidityRangeError when it is reached.
     """
     check_beam_overlap(geom, axes)
     lam, theta = axes.wavelength_nm, axes.angle_rad
-    intensity = np.empty(axes.shape)
     for blk in row_blocks(lam.size):
         delta = crystal_phase_mismatch(geom, lam[blk], theta)
         delta_m = gap_phase(geom, gas, lam[blk], theta)
         tau = gap_fringe_amplitude(geom, gas, lam[blk])[:, None]
-        intensity[blk] = interference_intensity(delta, delta_m, tau)
-        if not np.all(np.isfinite(intensity[blk])):
+        block = interference_intensity(delta, delta_m, tau)
+        if not np.all(np.isfinite(block)):
             raise ValidityRangeError(
                 "simulated intensity is not finite: an input is outside "
                 "the model's numerical range")
+        yield block
+
+
+def simulate_map(geom: InterferometerGeometry, gas: GasState,
+                 axes: MapAxes) -> np.ndarray:
+    """Angular-wavelength intensity map, shape (n_wavelength, n_angle):
+    the blocks of `render_blocks` stacked."""
+    intensity = np.empty(axes.shape)
+    for blk, block in zip(row_blocks(axes.shape[0]),
+                          render_blocks(geom, gas, axes)):
+        intensity[blk] = block
     return intensity
 
 
 def with_gaussian_noise(intensity, sigma: float, rng) -> np.ndarray:
-    """Additive white readout noise of absolute level sigma."""
+    """Additive white readout noise of absolute level sigma.
+
+    The draws fill the map in row-major order, so noising a map's row
+    blocks in order from one generator gives the bits of noising the
+    whole map at once.
+    """
     if sigma < 0:
         raise ValueError(f"negative noise level {sigma}")
     if sigma == 0:

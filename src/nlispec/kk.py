@@ -27,6 +27,14 @@ on i + j (a Hankel sum).  Each sum is one zero-padded real-FFT
 convolution of alpha with a parity-masked kernel, so the transform
 costs O(N log N) time and O(N) memory.  The factored form also avoids
 the cancellation in forming nu_j^2 - nu_i^2 directly.
+
+The FFT length is the smallest 2^a 3^b 5^c >= 2N - 1 (`fft_length`),
+not the next power of two, which can be almost twice as long.  Each
+kernel is built by strided slices straight into an array of that
+length, transformed and dropped before the next is built, and the
+spectra are multiplied and summed in place: at N = 20,069 (dense_band)
+the transform peaks at 1.24 MiB of `tracemalloc`, about four arrays
+of the FFT length.
 """
 
 from __future__ import annotations
@@ -51,17 +59,41 @@ def checked_uniform_grid(nu_grid_cm) -> tuple[np.ndarray, float]:
     return nu, h
 
 
-def _kernels(nu: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Toeplitz kernel 1 / (d h) at odd d = j - i, stored at d + N - 1, and
-    Hankel kernel 1 / (2 nu_0 + s h) at odd s = i + j; zero at even ones."""
-    s = np.arange(2 * nu.size - 1)
-    d = s - (nu.size - 1)
-    toeplitz, hankel = np.zeros(s.size), np.zeros(s.size)
-    odd = d % 2 == 1
-    toeplitz[odd] = 1.0 / (d[odd] * h)
-    odd = s % 2 == 1
-    hankel[odd] = 1.0 / (2.0 * nu[0] + s[odd] * h)
-    return toeplitz, hankel
+def fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length numpy's FFT runs fast at."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            length = p35
+            while length < n:
+                length *= 2
+            best = min(best, length)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _toeplitz_kernel(n: int, h: float, size: int) -> np.ndarray:
+    """1 / (d h) at odd d = j - i, stored at d + n - 1 of `size` zeros."""
+    kernel = np.zeros(size)
+    inv = np.arange(1, n, 2, dtype=float)   # odd d > 0
+    inv *= h
+    np.divide(1.0, inv, out=inv)
+    kernel[n:2 * n - 1:2] = inv
+    np.negative(inv, out=kernel[n - 2::-2])   # the kernel is odd in d
+    return kernel
+
+
+def _hankel_kernel(nu0: float, n: int, h: float, size: int) -> np.ndarray:
+    """1 / (2 nu_0 + s h) at odd s = i + j, stored at s of `size` zeros."""
+    kernel = np.zeros(size)
+    inv = np.arange(1, 2 * n - 1, 2, dtype=float)   # odd s
+    inv *= h
+    inv += 2.0 * nu0
+    np.divide(1.0, inv, out=kernel[1:2 * n - 1:2])
+    return kernel
 
 
 def index_change_weights(nu_grid_cm) -> np.ndarray:
@@ -72,9 +104,11 @@ def index_change_weights(nu_grid_cm) -> np.ndarray:
     alpha errors.
     """
     nu, h = checked_uniform_grid(nu_grid_cm)
-    toeplitz, hankel = _kernels(nu, h)
-    idx = np.arange(nu.size)
-    w = (toeplitz[idx[None, :] - idx[:, None] + nu.size - 1]
+    n = nu.size
+    toeplitz = _toeplitz_kernel(n, h, 2 * n - 1)
+    hankel = _hankel_kernel(nu[0], n, h, 2 * n - 1)
+    idx = np.arange(n)
+    w = (toeplitz[idx[None, :] - idx[:, None] + n - 1]
          - hankel[idx[:, None] + idx[None, :]])
     return w * (_PREFACTOR * h / nu)[:, None]
 
@@ -88,12 +122,19 @@ def index_change_from_absorption(alpha_cm, nu_grid_cm, baseline: float = 0.0):
     if not np.all(np.isfinite(alpha)):
         raise ValueError("absorption must be finite")
     n = nu.size
-    toeplitz, hankel = _kernels(nu, h)
     # A circular length >= 2N - 1 keeps outputs N-1 .. 2N-2 free of
     # wrap-around.  There alpha * toeplitz holds minus the Toeplitz sum
     # (the kernel is odd) and reversed alpha * hankel the Hankel sum.
-    size = 1 << (2 * n - 2).bit_length()
-    spec = np.fft.rfft
-    conv = np.fft.irfft(spec(alpha, size) * spec(toeplitz, size)
-                        + spec(alpha[::-1], size) * spec(hankel, size), size)
-    return baseline - (_PREFACTOR * h / nu) * conv[n - 1:2 * n - 1]
+    # Each kernel lives only while it is transformed, and the spectra
+    # are multiplied and summed in place.
+    size = fft_length(2 * n - 1)
+    rfft = np.fft.rfft
+    conv = rfft(alpha, size)
+    conv *= rfft(_toeplitz_kernel(n, h, size))
+    hankel = rfft(alpha[::-1], size)
+    hankel *= rfft(_hankel_kernel(nu[0], n, h, size))
+    conv += hankel
+    del hankel
+    conv = np.fft.irfft(conv, size)[n - 1:2 * n - 1]
+    conv *= _PREFACTOR * h / nu
+    return baseline - conv

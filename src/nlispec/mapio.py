@@ -33,7 +33,17 @@ that fits every 4th row fails on exactly the files that `load_map`
 rejects.  `load_map` is "open and read every row".  A `.csv` reader
 counts the cells of every line and takes its wavelength axis from the
 first cells in one pass over the file on open, and parses the rows in
-a second.  Writers stream too: they encode one block of rows at a time.
+a second.
+
+Each form has one writer too, fed by blocks of rows: `save_map_blocks`
+takes the axes, the meta and a block source, a function that yields
+the map's rows as blocks in row order each time it is called, and
+encodes and writes one block at a time.  A `.nlm` or `.csv` map is
+written in one pass over the blocks; a `.pgm` map in two, because its
+16-bit levels scale to the intensity range, which the first pass
+finds.  `save_map` feeds an in-memory map's row blocks to the same
+writers, so a map streamed from `simulate` and the same map saved
+whole are the same bytes.
 
 All writes are atomic (temp file in the destination directory, then
 rename), so a crash never leaves a half-written file behind; a `.pgm`
@@ -46,6 +56,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -108,14 +119,32 @@ def _atomic_write_bytes(path, payload):
         raise
 
 
-def _header_dict(m: IntensityMap) -> dict:
+def _header_dict(axes: MapAxes, meta: dict) -> dict:
     return {
-        "rows": int(m.axes.shape[0]),
-        "cols": int(m.axes.shape[1]),
-        "wavelength_nm": m.axes.wavelength_nm.tolist(),
-        "angle_rad": m.axes.angle_rad.tolist(),
-        "meta": m.meta,
+        "rows": int(axes.shape[0]),
+        "cols": int(axes.shape[1]),
+        "wavelength_nm": axes.wavelength_nm.tolist(),
+        "angle_rad": axes.angle_rad.tolist(),
+        "meta": meta,
     }
+
+
+def _checked_blocks(axes: MapAxes, blocks):
+    """(first row, rows) of each block of rows that `blocks()` yields,
+    checked to be finite and to cover `axes` exactly, in order."""
+    start = 0
+    for block in blocks():
+        block = np.asarray(block, dtype=float)
+        if (block.ndim != 2 or block.shape[1] != axes.shape[1]
+                or start + len(block) > axes.shape[0]):
+            raise ValueError(f"row block of shape {block.shape} does not "
+                             f"fit a {axes.shape} map at row {start}")
+        if not np.all(np.isfinite(block)):
+            raise ValueError("intensity must be finite")
+        yield start, block
+        start += len(block)
+    if start != axes.shape[0]:
+        raise ValueError(f"row blocks end at row {start} of {axes.shape[0]}")
 
 
 def _axes_from_header(head: dict, source) -> MapAxes:
@@ -210,11 +239,16 @@ class _MemoryReader(MapReader):
 
 # ---------------------------------------------------------------- native
 
-def _save_native(path, m: IntensityMap):
-    header = json.dumps(_header_dict(m)).encode("utf-8")
-    data = np.ascontiguousarray(m.intensity, dtype="<f8")  # a view if it can
-    _atomic_write_bytes(path, (_MAGIC + struct.pack("<Q", len(header))
-                               + header, memoryview(data)))
+def _save_native(path, axes: MapAxes, meta: dict, blocks):
+    header = json.dumps(_header_dict(axes, meta)).encode("utf-8")
+
+    def chunks():
+        yield _MAGIC + struct.pack("<Q", len(header)) + header
+        for _, block in _checked_blocks(axes, blocks):
+            # a view of the block if it can
+            yield memoryview(np.ascontiguousarray(block, dtype="<f8"))
+
+    _atomic_write_bytes(path, chunks())
 
 
 class _NativeReader(MapReader):
@@ -265,23 +299,25 @@ class _NativeReader(MapReader):
 
 # ---------------------------------------------------------------- text tables
 
+def _text_table(magic: str, meta: dict, header, blocks):
+    """The encoded lines of a text table whose body is `blocks`, an
+    iterable of 2-D blocks of rows, encoded one line at a time."""
+    meta_line = "# meta: " + json.dumps(meta, sort_keys=True)
+    yield "\n".join((magic, meta_line, ",".join(header), "")).encode("utf-8")
+    for block in blocks:
+        # np.savetxt's own line format
+        line = ",".join([_CELL] * block.shape[1]) + "\n"
+        for row in block:
+            yield (line % tuple(row)).encode("utf-8")
+
+
 def write_text_table(path, magic: str, meta: dict, header, *columns) -> None:
     """Write `columns`, 1-D or 2-D arrays of equal length set side by
     side, below the magic, meta and header lines, one block of rows at
     a time: no whole table is ever stacked."""
-    meta_line = "# meta: " + json.dumps(meta, sort_keys=True)
-
-    def chunks():
-        yield "\n".join((magic, meta_line, ",".join(header), "")).encode(
-            "utf-8")
-        for blk in row_blocks(len(columns[0])):
-            block = np.column_stack([c[blk] for c in columns])
-            # np.savetxt's own line format, one encoded line at a time
-            line = ",".join([_CELL] * block.shape[1]) + "\n"
-            for row in block:
-                yield (line % tuple(row)).encode("utf-8")
-
-    _atomic_write_bytes(path, chunks())
+    _atomic_write_bytes(path, _text_table(magic, meta, header, (
+        np.column_stack([c[blk] for c in columns])
+        for blk in row_blocks(len(columns[0])))))
 
 
 def _is_data_line(line: str) -> bool:
@@ -379,10 +415,12 @@ def read_text_table(path):
     return magic, meta, header, table
 
 
-def _save_csv(path, m: IntensityMap):
-    header = ["wavelength_nm"] + [_CELL % a for a in m.axes.angle_rad]
-    write_text_table(path, "# nlispec map 1", m.meta, header,
-                     m.axes.wavelength_nm, m.intensity)
+def _save_csv(path, axes: MapAxes, meta: dict, blocks):
+    header = ["wavelength_nm"] + [_CELL % a for a in axes.angle_rad]
+    lam = axes.wavelength_nm
+    _atomic_write_bytes(path, _text_table("# nlispec map 1", meta, header, (
+        np.column_stack((lam[start:start + len(block)], block))
+        for start, block in _checked_blocks(axes, blocks))))
 
 
 class _CsvReader(MapReader):
@@ -432,22 +470,27 @@ class _CsvReader(MapReader):
 
 # ---------------------------------------------------------------- pgm
 
-def _save_pgm(path, m: IntensityMap):
-    lo = float(m.intensity.min())
-    span = float(m.intensity.max()) - lo
-    rows, cols = m.axes.shape
+def _save_pgm(path, axes: MapAxes, meta: dict, blocks):
+    # the levels scale to the map's range, so one pass over the rows
+    # finds it and a second writes them
+    lo, hi = math.inf, -math.inf
+    for _, block in _checked_blocks(axes, blocks):
+        lo, hi = block.min(initial=lo), block.max(initial=hi)
+    lo = float(lo)
+    span = float(hi) - lo
+    rows, cols = axes.shape
 
     def levels():
         yield f"P5\n{cols} {rows}\n{_PGM_MAXVAL}\n".encode("ascii")
-        for blk in row_blocks(rows):
-            norm = m.intensity[blk] - lo   # all zero if span == 0
+        for _, block in _checked_blocks(axes, blocks):
+            norm = block - lo   # all zero if span == 0
             if span:
                 norm /= span
             norm *= _PGM_MAXVAL
             yield memoryview(np.rint(norm, out=norm).astype(">u2"))
 
     _atomic_write_bytes(path, levels())
-    side = dict(_header_dict(m), intensity_offset=lo,
+    side = dict(_header_dict(axes, meta), intensity_offset=lo,
                 intensity_span=span, maxval=_PGM_MAXVAL)
     try:
         _atomic_write_bytes(path + ".json",
@@ -533,8 +576,21 @@ def _format_for(path):
 
 def save_map(path, m: IntensityMap) -> None:
     """Write a map in the format implied by the file suffix."""
-    json.dumps(m.meta)  # fail fast on unserializable metadata
-    _format_for(path)[0](str(path), m)
+    save_map_blocks(path, m.axes, m.meta, lambda: (
+        m.intensity[blk] for blk in row_blocks(m.axes.shape[0])))
+
+
+def save_map_blocks(path, axes: MapAxes, meta: dict, blocks) -> None:
+    """Write the map on `axes` whose rows `blocks()` yields, as blocks
+    of rows in row order, in the format implied by the file suffix.
+
+    `blocks` is called once for each pass over the rows, and each call
+    must yield the same rows: `.nlm` and `.csv` maps are written in one
+    pass, a `.pgm` in two, the first of which finds the intensity range
+    its levels scale to.  No more than a block of rows is held.
+    """
+    json.dumps(meta)  # fail fast on unserializable metadata
+    _format_for(path)[0](str(path), axes, meta, blocks)
 
 
 def open_map(source) -> MapReader:

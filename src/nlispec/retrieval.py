@@ -6,8 +6,9 @@ are processed row by row, i.e. one signal wavelength at a time:
   1. estimate the fringe amplitude tau and fringe phase of each row,
   2. reference the sample against the vacuum row: V = tau_s / tau_r,
      dphi = phase_s - phase_r, cancelling shared systematics,
-  3. invert V to alpha and dphi to n_idler - n_visible through the
-     inverses that `interferometer` keeps beside the gap terms.
+  3. invert V to alpha and dphi to n_idler - n_visible, with their
+     standard errors, through the inverses that `interferometer`
+     keeps beside the gap terms.
 
 Two per-row estimators are available.  The model engine fits each row
 to the known vacuum fringe pattern A E (1 + tau cos(phi + d m)), whose
@@ -352,11 +353,10 @@ def retrieve(sample, reference, geom: InterferometerGeometry, *,
     vis = est_s.contrast / est_r.contrast
     vis_sigma = vis * np.hypot(est_s.sigma_contrast / est_s.contrast,
                                est_r.sigma_contrast / est_r.contrast)
-    alpha = absorption_from_visibility(vis, geom.gap_length_cm)
-    alpha_sigma = vis_sigma / (vis * geom.gap_length_cm)
-    offset = index_offset_from_phase(dphi, lam_i, geom.gap_length_cm)
-    offset_sigma = (lam_i * 1e-7) / (2.0 * math.pi * geom.gap_length_cm) \
-        * dphi_sigma
+    alpha, alpha_sigma = absorption_from_visibility(
+        vis, geom.gap_length_cm, vis_sigma)
+    offset, offset_sigma = index_offset_from_phase(
+        dphi, lam_i, geom.gap_length_cm, dphi_sigma)
     meta = {"engine": engine, "polish": bool(polish),
             "gap_length_cm": geom.gap_length_cm,
             "sample_visible_index": sample_visible_index,

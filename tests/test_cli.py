@@ -889,3 +889,56 @@ def test_exit_code_physics_out_of_range(tmp_path, edits):
     assert out.returncode == 2, out.stderr
     assert "config error" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def _part_files(directory) -> list:
+    return sorted(p.name for p in directory.iterdir()
+                  if p.name.startswith("tmp") and p.name.endswith(".part"))
+
+
+@pytest.mark.parametrize("suffix", [".nlm", ".csv", ".pgm"])
+def test_simulate_failing_in_a_late_block_leaves_no_file(tmp_path,
+                                                         monkeypatch, capsys,
+                                                         suffix):
+    # the demo map is 16 row blocks; block 12 renders a NaN
+    import nlispec.interferometer as interferometer
+
+    real, calls, written = interferometer.interference_intensity, [], []
+
+    def late_nan(*args):
+        calls.append(None)
+        out = real(*args)
+        if len(calls) == 12:
+            written.extend(_part_files(tmp_path))
+            out[5, 7] = math.nan
+        return out
+
+    monkeypatch.setattr(interferometer, "interference_intensity", late_nan)
+    assert main(["simulate", DEMO_CFG, "-o", str(tmp_path / f"m{suffix}")]) \
+        == 2
+    err = capsys.readouterr().err
+    assert "simulated intensity is not finite" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+    # .nlm and .csv maps fail mid-write; a .pgm in its range pass
+    assert len(written) == (suffix != ".pgm")
+
+
+@pytest.mark.parametrize("suffix", [".nlm", ".csv", ".pgm"])
+def test_simulate_noise_overflow_mid_write_leaves_no_file(tmp_path,
+                                                          monkeypatch, capsys,
+                                                          suffix):
+    real, written = cli.with_gaussian_noise, []
+
+    def noise(*args):
+        written.extend(_part_files(tmp_path))
+        return real(*args)
+
+    monkeypatch.setattr(cli, "with_gaussian_noise", noise)
+    assert main(["simulate", DEMO_CFG, "--noise", "1e308",
+                 "-o", str(tmp_path / f"m{suffix}")]) == 2
+    err = capsys.readouterr().err
+    assert "drives the map out of floating-point range" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+    assert len(written) == (suffix != ".pgm")

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nlispec.kk import index_change_from_absorption, index_change_weights
+from nlispec.kk import (fft_length, index_change_from_absorption,
+                        index_change_weights)
 
 NU0, GAMMA, AMP = 2349.0, 0.5, 0.45
 PEAK_DN = AMP / (8 * math.pi * NU0)  # |extremum| of the analytic result
@@ -102,6 +104,45 @@ def test_weights_matrix_agrees_with_fft_path_at_both_parities(n):
     dn = index_change_from_absorption(alpha, nu)
     err = np.abs(index_change_weights(nu) @ alpha - dn).max()
     assert err <= 1e-14 * np.abs(dn).max()
+
+
+def test_fft_length_is_the_smallest_5_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    lengths = [m for m in range(1, 4200) if smooth(m)]
+    for n in range(1, 4097):
+        assert fft_length(n) == min(m for m in lengths if m >= n), n
+
+
+# 2N - 1 = 2025 = 3^4 5^2 is its own FFT length; 2023 = 7 17^2 pads to 2025
+@pytest.mark.parametrize("n", [1013, 1012], ids=["5-smooth", "padded"])
+def test_fft_path_equals_the_dense_oracle(n):
+    assert fft_length(2 * n - 1) == 2025
+    nu = np.linspace(2340.0, 2358.0, n)
+    alpha = lorentzian_alpha(nu)
+    dn = index_change_from_absorption(alpha, nu)
+    err = np.abs(index_change_weights(nu) @ alpha - dn).max()
+    assert err <= 1e-14 * np.abs(dn).max()
+
+
+def test_transform_peak_memory_is_a_few_grids():
+    # dense_band's grid size: the kernels are built, transformed and
+    # dropped one at a time, and the spectra are combined in place
+    nu = np.linspace(2180.0, 2520.0, 20069)
+    alpha = lorentzian_alpha(nu)
+    index_change_from_absorption(alpha, nu)   # warm up numpy's FFT cache
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        index_change_from_absorption(alpha, nu)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
 
 
 def test_matches_extended_precision_direct_sum():

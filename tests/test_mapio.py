@@ -9,7 +9,7 @@ import pytest
 from nlispec.errors import MapFormatError
 from nlispec.interferometer import MapAxes
 from nlispec.mapio import (IntensityMap, load_map, open_map, save_map,
-                           write_text_table)
+                           save_map_blocks, write_text_table)
 
 
 @pytest.fixture
@@ -363,3 +363,38 @@ def test_reader_checks_the_rows_it_skips(tmp_path, tall_map, suffix):
             reader.read_to_end()
     with pytest.raises(MapFormatError, match="finite"):
         load_map(path)
+
+
+@pytest.mark.parametrize("suffix", [".nlm", ".csv", ".pgm"])
+def test_save_map_blocks_takes_any_row_partition(tmp_path, tall_map, suffix):
+    rows = tall_map.intensity
+    passes = []
+
+    def blocks():
+        passes.append(None)
+        return (rows[a:b] for a, b in ((0, 1), (1, 50), (50, 50), (50, 100)))
+
+    save_map(tmp_path / f"whole{suffix}", tall_map)
+    save_map_blocks(tmp_path / f"parts{suffix}", tall_map.axes, tall_map.meta,
+                    blocks)
+    for name in [f"{{}}{suffix}"] + ([f"{{}}{suffix}.json"]
+                                     if suffix == ".pgm" else []):
+        assert (tmp_path / name.format("parts")).read_bytes() == \
+            (tmp_path / name.format("whole")).read_bytes()
+    # a .pgm scales its levels to a range found in a first pass
+    assert len(passes) == (2 if suffix == ".pgm" else 1)
+
+
+@pytest.mark.parametrize("cut, message", [
+    (lambda rows: [rows[:99]], "end at row 99"),
+    (lambda rows: [rows, rows[:1]], "does not fit"),
+    (lambda rows: [rows[:, :-1]], "does not fit"),
+    (lambda rows: [rows[:40], np.full((60, 9), math.nan)], "finite"),
+], ids=["short", "long", "columns", "nan"])
+@pytest.mark.parametrize("suffix", [".nlm", ".csv", ".pgm"])
+def test_save_map_blocks_rejects_rows_that_do_not_fit(tmp_path, tall_map,
+                                                      suffix, cut, message):
+    with pytest.raises(ValueError, match=message):
+        save_map_blocks(tmp_path / f"m{suffix}", tall_map.axes, {},
+                        lambda: cut(tall_map.intensity))
+    assert list(tmp_path.iterdir()) == []

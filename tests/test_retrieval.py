@@ -41,6 +41,21 @@ def test_index_offset_from_phase_frozen():
     assert index_offset_from_phase(0.0, 4300.0, 2.5) == 0.0
 
 
+def test_inverses_propagate_standard_errors_to_first_order():
+    # sigma_out = |d out / d in| sigma_in, per row
+    v = np.array([math.exp(-0.45 * 2.5), 0.7, 1.02])
+    dphi, lam = np.array([-0.36, 0.0, 0.2]), np.array([4300.0, 4310.0, 4320.0])
+    s_in, eps = np.array([1e-3, 2e-4, 0.0]), 1e-7
+    for invert, x, args in ((absorption_from_visibility, v, (2.5,)),
+                            (index_offset_from_phase, dphi, (lam, 2.5))):
+        out, sigma = invert(x, *args, s_in)
+        np.testing.assert_array_equal(out, invert(x, *args))
+        slope = (invert(x + eps, *args) - invert(x - eps, *args)) / (2 * eps)
+        np.testing.assert_allclose(sigma, np.abs(slope) * s_in, rtol=1e-6)
+    alpha, sigma = absorption_from_visibility(0.7, 2.5, 1e-3)
+    assert isinstance(alpha, float) and sigma == 1e-3 / (0.7 * 2.5)
+
+
 # ------------------------------------------------------------ row fits
 
 def _synthetic_row(amp, tau, dphi, n=257):

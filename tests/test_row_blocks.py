@@ -1,6 +1,7 @@
 """Map-sized stages run one block of rows at a time: the same bits as the
 whole-map computation, and a memory peak of a block, not of a map."""
 
+import configparser
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -23,17 +24,19 @@ from nlispec.interferometer import (
     with_gaussian_noise,
 )
 from nlispec.cli import main
-from nlispec.mapio import IntensityMap, load_map, save_map
+from nlispec.mapio import IntensityMap, load_map, open_map, save_map
 from nlispec.retrieval import _model_pattern, fit_rows_model, retrieve
 
 MIB = 2 ** 20
+DEMO_CFG = str(data_path("co2_demo.cfg"))
 
 
 @pytest.fixture(scope="module")
 def demo():
-    cfg = load_run_config(data_path("co2_demo.cfg"))
+    cfg = load_run_config(DEMO_CFG)
     return SimpleNamespace(
-        geom=build_geometry(cfg), axes=build_axes(cfg), gas=build_gas(cfg),
+        cfg=cfg, geom=build_geometry(cfg), axes=build_axes(cfg),
+        gas=build_gas(cfg),
         vacuum=build_vacuum(cfg),
         n_vis=gas_index(cfg.visible, cfg.pressure_torr, cfg.temperature_k))
 
@@ -108,6 +111,89 @@ def test_pgm_map_io_peaks(demo_maps, tmp_path):
     assert np.abs(back.intensity - truth).max() <= 0.5 * step * (1 + 1e-9)
     assert save_peak <= 1 * MIB
     assert load_peak <= back.intensity.nbytes + 0.5 * MIB
+
+
+# ------------------------------------------- simulate holds no whole map
+
+@pytest.fixture(scope="module")
+def tall_config(tmp_path_factory):
+    """The demo config with twice its 512 rows."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp.read(DEMO_CFG)
+    cp["crystal"]["coefficients"] = str(data_path(
+        cp["crystal"]["coefficients"]))
+    cp["gas"]["lines"] = str(data_path(cp["gas"]["lines"]))
+    cp["signal_axis"]["samples"] = "1024"
+    path = tmp_path_factory.mktemp("tall_cfg") / "tall.cfg"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def warm_simulate(tmp_path_factory):
+    # the first noisy run allocates numpy's generator state and caches
+    d = tmp_path_factory.mktemp("warm")
+    assert main(["simulate", DEMO_CFG, "--noise", "0.01",
+                 "-o", str(d / "w.nlm")]) == 0
+
+
+def _cli_simulate_peak(cfg, out, options):
+    code, peak = _peak_bytes(lambda: main(
+        ["simulate", cfg, "-o", str(out), *options]))
+    assert code == 0
+    return peak
+
+
+NOISE = pytest.mark.parametrize("options", [(), ("--noise", "0.01")],
+                                ids=["noiseless", "noisy"])
+SUFFIX = pytest.mark.parametrize("suffix", [".nlm", ".csv", ".pgm"])
+
+
+@NOISE
+@SUFFIX
+def test_cli_simulate_peak_is_a_block(warm_simulate, tmp_path, suffix,
+                                      options):
+    # a demo map is 2.5 MiB; the gas build and one block stay below 2
+    assert _cli_simulate_peak(DEMO_CFG, tmp_path / f"s{suffix}",
+                              options) <= 2 * MIB
+
+
+@SUFFIX
+def test_cli_simulate_peak_does_not_grow_with_the_map(warm_simulate,
+                                                      tall_config, tmp_path,
+                                                      suffix):
+    peaks = [_cli_simulate_peak(cfg, tmp_path / f"{k}{suffix}",
+                                ("--noise", "0.01"))
+             for k, cfg in enumerate((DEMO_CFG, tall_config))]
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+@pytest.mark.parametrize("vacuum", [False, True], ids=["sample", "vacuum"])
+@NOISE
+@SUFFIX
+def test_cli_simulate_writes_the_bytes_of_save_map(demo, tmp_path, suffix,
+                                                   options, vacuum):
+    # rendering, noising and writing block by block changes no bit of
+    # the file that the whole-map functions give
+    kind = ("--vacuum",) if vacuum else ()
+    streamed = tmp_path / f"cli{suffix}"
+    assert main(["simulate", DEMO_CFG, "-o", str(streamed), *kind,
+                 *options]) == 0
+    intensity = simulate_map(demo.geom, demo.vacuum if vacuum else demo.gas,
+                             demo.axes)
+    if options:
+        rng = np.random.default_rng([demo.cfg.noise_seed, int(vacuum)])
+        intensity = with_gaussian_noise(
+            intensity, float(options[1]) * float(intensity.max()), rng)
+    with open_map(streamed) as reader:
+        meta = reader.meta
+    whole = tmp_path / f"whole{suffix}"
+    save_map(whole, IntensityMap(demo.axes, intensity, meta))
+    assert streamed.read_bytes() == whole.read_bytes()
+    if suffix == ".pgm":
+        assert (tmp_path / "cli.pgm.json").read_bytes() == \
+            (tmp_path / "whole.pgm.json").read_bytes()
 
 
 # ----------------------------------------- retrieve holds one map at a time
