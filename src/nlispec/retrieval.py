@@ -21,7 +21,15 @@ A = a0, tau = hypot(ac, as) / a0 and d = atan2(-as, ac).  Each later
 pass projects onto {E, E cos theta, m E sin theta}, theta = phi + d m,
 and adds atan2(-as, ac) to d.  These columns span the model's Jacobian,
 so a pass is an undamped Gauss-Newton step whose fixed point is the
-least-squares optimum; it is exact on noiseless model data.  The
+least-squares optimum; it is exact on noiseless model data.  Each
+projection solves one symmetric 3 x 3 system per row, the normal
+equations G c = D y with Gram matrix G = D D^T, in closed form: einsum
+forms the six distinct sums of G and D y, G is factored as L diag(p)
+L^T without pivoting (G is positive definite), and the inverse that
+the factors give yields both the coefficients and, at the last pass,
+the covariance.  No LAPACK, BLAS or sort call is made.  A row whose
+G is singular, one of its columns within rounding of a combination of
+the other two, is NaN in every field, as an unlit row is.  The
 extrema engine is model-free: it flattens every row with a low-order
 polynomial envelope (one least-squares solve for all rows of a block)
 and reads the contrast from quadratically refined local extrema, found
@@ -85,15 +93,54 @@ _MAX_PASSES = 20
 # fringes a row must resolve for the envelope fit to leave them intact.
 _ENVELOPE_DEGREE = 4
 _MIN_FRINGES = 8
+# The 3 x 3 Gram matrix G of the model fit: its six distinct entries
+# (row, column), and where each entry of the full matrix sits among
+# them.  1 / (G_ii (G^-1)_ii) = 1 - R_i^2 is the share of design column
+# i that the other two columns leave unexplained; G is singular when it
+# is 0 for some i.  A share at most _SINGULAR_RTOL is taken for 0: the
+# rounding of a singular G leaves the share of a few eps.
+_GRAM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_GRAM_SYMMETRIC = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_SINGULAR_RTOL = 16.0 * np.finfo(float).eps
 
 
 def _project(rows, design):
-    """Least squares of each row on its (3 x angles) design matrix: the
-    coefficients (3 x rows), Gram matrices and residual sums of squares."""
-    gram = design @ design.transpose(0, 2, 1)
-    coef = np.linalg.solve(gram, design @ rows[..., None])
-    resid = rows - (coef.transpose(0, 2, 1) @ design)[:, 0]
-    return coef[..., 0].T, gram, np.einsum("rm,rm->r", resid, resid)
+    """Least squares of each row on its (3 x angles) design matrix D: the
+    coefficients (3 x rows), the inverse Gram matrices (3 x 3 x rows) and
+    the residual sums of squares.  A row whose Gram matrix is singular is
+    NaN in all three."""
+    # the six distinct sums of the Gram matrix G = D D^T, and D y, by
+    # einsum's own loops (no BLAS call)
+    a, b, c, d, e, f = (np.einsum("rm,rm->r", design[:, i], design[:, j])
+                        for i, j in _GRAM_PAIRS)
+    dty = np.einsum("rim,rm->ir", design, rows)
+    # G = L diag(a, p1, p2) L^T, L = [[1, 0, 0], [l1, 1, 0], [l2, m, 1]],
+    # in closed form; a pivot that is not positive turns NaN, and the NaN
+    # fills every later number of its row
+    a = np.where((a > 0) & np.isfinite(a + d + f), a, math.nan)
+    l1, l2 = b / a, c / a
+    p1 = d - b * l1
+    p1 = np.where(p1 > 0, p1, math.nan)
+    t = e - c * l1
+    m = t / p1
+    p2 = f - c * l2 - t * m
+    p2 = np.where(p2 > 0, p2, math.nan)
+    # G^-1 = U^T diag(1 / a, 1 / p1, 1 / p2) U, U = L^-1 = [[1, 0, 0],
+    # [-l1, 1, 0], [q, -m, 1]]: its six distinct entries
+    q = l1 * m - l2
+    w1, w2 = 1.0 / p1, 1.0 / p2
+    packed = np.stack((1.0 / a + l1 * l1 * w1 + q * q * w2,
+                       -l1 * w1 - q * m * w2, q * w2,
+                       w1 + m * m * w2, -m * w2, w2))
+    # one over the smallest unexplained share of a column of the row
+    inflation = np.maximum(np.maximum(a * packed[0], d * packed[3]),
+                           f * packed[5])
+    inverse = np.where(inflation < 1.0 / _SINGULAR_RTOL, packed,
+                       math.nan)[_GRAM_SYMMETRIC]
+    coef = inverse[:, 0] * dty[0] + inverse[:, 1] * dty[1] \
+        + inverse[:, 2] * dty[2]
+    resid = rows - np.einsum("ir,rim->rm", coef, design)
+    return coef, inverse, np.einsum("rm,rm->r", resid, resid)
 
 
 def fit_rows_model(rows, envelope, phase, steepening=None, *,
@@ -115,9 +162,14 @@ def fit_rows_model(rows, envelope, phase, steepening=None, *,
     fit does not depend on the other rows.  A row whose phase still
     moves after _MAX_PASSES passes (a row of noise, say) keeps the
     linear stage and NaN sigmas.
-    A row whose envelope is zero at every angle, or whose projected
-    amplitude is not positive, is no fringe row: every field of it is
-    NaN, and the other rows are fitted as usual.
+    Each pass solves every row's 3 x 3 normal equations in closed form
+    (see the module docstring); the covariance is the last pass's
+    inverse Gram matrix, mapped to (tau, phase).
+    A row whose envelope is zero at every angle, whose Gram matrix is
+    singular at any pass (too few angles, or columns that the angles
+    leave linearly dependent), or whose projected amplitude is not
+    positive, is no fringe row: every field of it is NaN, and the other
+    rows are fitted as usual.
     """
     y = np.atleast_2d(np.asarray(rows, dtype=float))
     env = np.broadcast_to(envelope, y.shape)
@@ -130,8 +182,9 @@ def fit_rows_model(rows, envelope, phase, steepening=None, *,
         y, env, phi, m = (a[lit] for a in (y, env, phi, m))
     delta = np.zeros(at.size)
     settled = np.zeros(n, dtype=bool)
-    # each row's fit, Gram matrix and rss from the last pass it took
-    last, gram, rss = np.empty((3, n)), np.zeros((n, 3, 3)), np.empty(n)
+    # each row's fit, inverse Gram matrix and rss, from its last pass
+    last = np.empty((3, n))
+    cov, rss = np.full((3, 3, n), math.nan), np.full(n, math.nan)
     sine_env = env   # pass 0 leaves the steepening out
     design = np.empty((n, 3, y.shape[1]))
     for k in range(_MAX_PASSES + 1 if polish else 1):
@@ -145,7 +198,7 @@ def fit_rows_model(rows, envelope, phase, steepening=None, *,
         np.cos(d[:, 1], out=d[:, 1])
         d[:, 1] *= env
         d[:, 2] *= sine_env
-        (a0, ac, as_), gram[at], rss[at] = _project(y, d)
+        (a0, ac, as_), cov[..., at], rss[at] = _project(y, d)
         step = np.arctan2(-as_, ac)
         delta = delta + step
         lit[at] &= a0 > 0
@@ -170,12 +223,12 @@ def fit_rows_model(rows, envelope, phase, steepening=None, *,
     amp, tau = fit[0], fit[1] / fit[0]
     sigma = np.full((2, n), math.nan)
     if polish and dof > 0:
-        # J = D T, T = [[1, 0, 0], [tau, A, 0], [0, 0, -A tau]]; no
-        # cutoff: a barely determined direction gets a huge variance
-        cov = np.linalg.pinv(gram, rcond=0.0)
-        var = np.stack(((tau * tau * cov[:, 0, 0] - 2.0 * tau
-                         * cov[:, 0, 1] + cov[:, 1, 1]) / amp**2,
-                        cov[:, 2, 2] / (amp * tau) ** 2))
+        # J = D T, T = [[1, 0, 0], [tau, A, 0], [0, 0, -A tau]], so the
+        # last pass's inverse Gram matrix gives the covariance; a barely
+        # determined direction gets a huge variance
+        var = np.stack(((tau * tau * cov[0, 0] - 2.0 * tau * cov[0, 1]
+                         + cov[1, 1]) / amp**2,
+                        cov[2, 2] / (amp * tau) ** 2))
         sigma = np.where(settled, np.sqrt(np.maximum(var * rss / dof, 0.0)),
                          math.nan)
     return RowEstimate(amp, tau, fit[2], *sigma)
@@ -322,7 +375,12 @@ def retrieve(sample, reference, geom: InterferometerGeometry, *,
             raise AxisMismatchError(
                 "sample and reference do not share wavelength/angle axes")
         row_idx = _row_indices(rows, axes.shape[0])
-        fit_idx, asked = np.unique(row_idx, return_inverse=True)
+        # the rows to fit, in increasing order, and where each row asked
+        # for sits among them
+        wanted = np.zeros(axes.shape[0], dtype=bool)
+        wanted[row_idx] = True
+        fit_idx = np.flatnonzero(wanted)
+        asked = np.cumsum(wanted)[row_idx] - 1
         lam_fit = axes.wavelength_nm[fit_idx]
         theta = axes.angle_rad
         # est[0] is the sample's fit, est[1] the reference's

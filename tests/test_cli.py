@@ -113,6 +113,39 @@ def test_retrieve_result_csv_is_lossless(workdir, tmp_path):
     assert res.meta == again.meta
 
 
+def test_retrieve_calls_no_linalg_and_no_sort(workdir, monkeypatch):
+    # the model engine solves its 3 x 3 fits in closed form and picks
+    # its rows with a mask: with LAPACK's solvers and np.unique made to
+    # raise, rows in order and unsorted, duplicated rows fit the same
+    cfg = load_run_config(workdir / "run.cfg")
+    geom = build_geometry(cfg)
+    n_vis = gas_index(cfg.visible, cfg.pressure_torr, cfg.temperature_k)
+    paths = str(workdir / "sample.nlm"), str(workdir / "reference.nlm")
+    cases = [(rows, polish) for rows in (None, [11, 3, 15, 3, 0, 8, 11, 9])
+             for polish in (True, False)]
+
+    def run(rows, polish):
+        return retrieve(*paths, geom, rows=rows, polish=polish,
+                        sample_visible_index=n_vis)
+
+    expected = [run(*case) for case in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("retrieve called a LAPACK solver or a sort")
+
+    for name in ("solve", "pinv", "inv"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    monkeypatch.setattr(np, "unique", forbidden)
+    for case, want in zip(cases, expected):
+        got = run(*case)
+        for field in dataclasses.fields(RetrievalResult):
+            if field.name != "meta":
+                np.testing.assert_array_equal(
+                    getattr(got, field.name), getattr(want, field.name),
+                    err_msg=f"{case}: {field.name}")
+    assert np.isfinite(expected[0].alpha_cm).all()
+
+
 def test_result_table_keeps_nan_rows(workdir, tmp_path):
     # rows 0 and 5 come back NaN in every fitted column, as a dim row does
     res = load_result_csv(workdir / "result.csv")
@@ -579,6 +612,55 @@ def test_one_config_key_sweep_exits_with_a_code(small_demo_config,
         assert main(["retrieve", *map(str, small_demo_pair), str(cfg), "-o",
                      str(tmp_path / "r.csv")]) in (0, 1, 2), (key, value)
     capsys.readouterr()
+
+
+def _narrow_pair(small_demo_config, tmp_path, pixels):
+    """(config, sample, reference) paths of an 8-row demo map pair on a
+    strip of `pixels` pixels."""
+    cp = configparser.ConfigParser()
+    cp.read_dict(small_demo_config)
+    cp["signal_axis"]["samples"] = "8"
+    cp["angle_axis"]["pixels"] = str(pixels)
+    cfg = tmp_path / "narrow.cfg"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    maps = str(tmp_path / "sample.nlm"), str(tmp_path / "reference.nlm")
+    assert main(["simulate", str(cfg), "-o", maps[0]]) == 0
+    assert main(["simulate", str(cfg), "-o", maps[1], "--vacuum"]) == 0
+    return str(cfg), *maps
+
+
+@pytest.mark.parametrize("pixels", [1, 2, 3, 4])
+def test_retrieve_narrow_map_exits_0_with_nan_rows(small_demo_config,
+                                                   tmp_path, capsys, pixels):
+    # on a symmetric strip of at most four pixels the fringe template
+    # takes at most two distinct values, so every row's 3 x 3 Gram
+    # matrix is singular: each row is NaN, and the run still ends in a
+    # table
+    cfg, *maps = _narrow_pair(small_demo_config, tmp_path, pixels)
+    for options in ((), ("--no-polish",)):
+        out = tmp_path / "result.csv"
+        assert main(["retrieve", *maps, cfg, "-o", str(out),
+                     *options]) == 0
+        assert capsys.readouterr().out.endswith(
+            f"retrieved 8 rows to {out} (no finite rows)\n")
+        res = load_result_csv(out)
+        np.testing.assert_array_equal(res.rows, np.arange(8))
+        for name in ("visibility", "alpha_cm", "alpha_sigma_cm",
+                     "phase_shift_rad", "index_offset", "index_offset_sigma"):
+            assert np.isnan(getattr(res, name)).all(), name
+
+
+def test_retrieve_eight_pixel_map_is_fitted(small_demo_config, tmp_path):
+    # eight pixels give Gram matrices of cond 2-4e11 but not singular
+    # ones: the noiseless rows are fitted, to 1e-3 cm^-1 (measured 4e-5)
+    cfg, *maps = _narrow_pair(small_demo_config, tmp_path, 8)
+    out = tmp_path / "result.csv"
+    assert main(["retrieve", *maps, cfg, "-o", str(out)]) == 0
+    res = load_result_csv(out)
+    truth = build_gas(load_run_config(cfg))
+    err = res.alpha_cm - truth.idler_absorption_at(res.idler_wavelength_nm)
+    assert np.abs(err).max() <= 1e-3
 
 
 def test_outputs_take_the_umask_mode(workdir, tmp_path):

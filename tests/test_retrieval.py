@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from nlispec.errors import AxisMismatchError
 from nlispec.interferometer import MapAxes, simulate_map, with_gaussian_noise
 from nlispec.mapio import IntensityMap, save_map
 from nlispec.retrieval import (
+    _project,
     absorption_from_visibility,
     fit_rows_extrema,
     fit_rows_model,
@@ -106,6 +108,71 @@ def test_fit_rows_model_skips_a_row_without_envelope():
         assert all(math.isnan(field[0]) for field in est)
         assert est.contrast[1] == pytest.approx(0.5, rel=1e-9)
         assert est.phase_rad[1] == pytest.approx(0.3, abs=1e-9)
+
+
+def test_fit_rows_model_nan_on_a_row_with_a_singular_gram():
+    # an envelope lit at two angles gives three columns of rank two: the
+    # row is NaN in every field, without a warning, and its neighbour is
+    # fitted as usual
+    row, envelope, phase = _synthetic_row(1.0, 0.5, 0.3)
+    two = np.where(np.isin(np.arange(row.size), (40, 200)), envelope, 0.0)
+    for polish in (True, False):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = fit_rows_model(np.vstack((row, row)),
+                                 np.vstack((two, envelope)), phase,
+                                 polish=polish)
+        assert all(math.isnan(field[0]) for field in est)
+        assert est.contrast[1] == pytest.approx(0.5, rel=1e-9)
+
+
+def _narrow_envelope_design():
+    """A (3 x 640) design on a Gaussian envelope 3% of the angle span
+    wide, over which the fringe phase barely moves: cond(Gram) ~ 1e8,
+    and a fringe row on it."""
+    theta = np.linspace(-1.0, 1.0, 640)
+    env = np.exp(-(theta / 0.03) ** 2)
+    phi = 40.0 * theta**2 + 0.3
+    return np.stack((env, env * np.cos(phi), env * np.sin(phi))), \
+        env * (1.0 + 0.5 * np.cos(phi + 0.2))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_project_matches_lstsq_and_inv(seed):
+    # the closed-form kernel against LAPACK, row by row: 29 random rows
+    # to 1e-12 of the row's largest coefficient and inverse-Gram
+    # diagonal entry (measured <= 9e-15), one narrow-envelope row with
+    # cond(Gram) >= 1e8 to 1e-7 and 1e-9 (measured <= 2.1e-8 and
+    # 1.1e-10, as LU on the same Gram matrix), and two rows whose Gram
+    # matrix is exactly singular, which are NaN
+    rng = np.random.default_rng(seed)
+    design = rng.standard_normal((32, 3, 640))
+    rows = rng.standard_normal((32, 640))
+    narrow, singular = 5, (9, 20)
+    design[narrow], rows[narrow] = _narrow_envelope_design()
+    rows[narrow] += rng.normal(0.0, 1e-3, 640)
+    design[9, 2] = design[9, 0]                   # rank two
+    design[20] = design[20, :1] * [[1.0], [-0.5], [2.0]]   # rank one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coef, inverse, rss = _project(rows, design)
+    assert coef.shape == (3, 32) and inverse.shape == (3, 3, 32)
+    for r in range(32):
+        if r in singular:
+            assert np.isnan(coef[:, r]).all() and np.isnan(rss[r])
+            assert np.isnan(inverse[..., r]).all()
+            continue
+        gram = np.einsum("im,jm->ij", design[r], design[r])
+        ref, ref_rss = np.linalg.lstsq(design[r].T, rows[r], rcond=None)[:2]
+        ref_var = np.diag(np.linalg.inv(gram))
+        tol_coef, tol_var = (1e-7, 1e-9) if r == narrow else (1e-12, 1e-12)
+        if r == narrow:
+            assert np.linalg.cond(gram) >= 1e8
+        assert np.abs(coef[:, r] - ref).max() <= tol_coef * np.abs(ref).max()
+        assert np.abs(np.diag(inverse[..., r]) - ref_var).max() \
+            <= tol_var * ref_var.max()
+        np.testing.assert_array_equal(inverse[..., r], inverse[..., r].T)
+        assert rss[r] == pytest.approx(ref_rss[0], rel=1e-11)
 
 
 def test_fit_rows_model_agrees_with_scipy_lm():
