@@ -20,7 +20,6 @@ at the centre of the signal axis instead of using a fixed pump angle.
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dispersion import GasIndexModel, load_uniaxial_crystal
+from .dispersion import GasIndexModel, load_uniaxial_crystal, read_ini
 from .errors import ConfigError
 from .interferometer import (
     InterferometerGeometry,
@@ -193,15 +192,7 @@ def _parse(raw: str, convert, rule, where: str):
 
 
 def load_run_config(path) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cp.read_file(fh, source=str(path))
-    except FileNotFoundError:
-        raise
-    except (OSError, configparser.Error) as exc:
-        raise ConfigError(f"cannot parse config: {exc}", key=str(path))
-
+    cp = read_ini(path)
     for section in cp.sections():
         if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]", key=str(path))
@@ -303,8 +294,18 @@ def load_lines(cfg: RunConfig):
     return load_line_csv(cfg.lines_path)
 
 
+# an explicit grid step may be at most this many times `line_grid_step`
+_COARSEST_STEP = 16
+
+
 def gas_grid(cfg: RunConfig, lines) -> np.ndarray:
-    """Uniform idler wavenumber grid covering the map plus padding."""
+    """Uniform idler wavenumber grid covering the map plus padding.
+
+    Its step is `[gas].grid_step_cm`, or `line_grid_step` where that is
+    not given.  A gas above 0 Torr whose explicit step exceeds
+    16 x `line_grid_step` is rejected: such a grid falls between the
+    line cores and shows aliased absorption.
+    """
     from .gas import uniform_grid
     from .lineshape import line_grid_step
 
@@ -318,9 +319,16 @@ def gas_grid(cfg: RunConfig, lines) -> np.ndarray:
         raise ConfigError(f"idler grid starts at {lo:.6g} cm^-1, not above 0",
                           key="[gas].grid_pad_cm")
     step = cfg.grid_step_cm
-    if step is None:
-        step = line_grid_step(lines, cfg.pressure_torr, cfg.temperature_k,
+    if step is None or cfg.pressure_torr > 0:
+        fine = line_grid_step(lines, cfg.pressure_torr, cfg.temperature_k,
                               cfg.molar_mass_g_mol, cfg.self_fraction)
+        if step is None:
+            step = fine
+        elif step > _COARSEST_STEP * fine:
+            raise ConfigError(
+                f"{step:g} cm^-1 is over {_COARSEST_STEP} x {fine:.3g} "
+                "cm^-1, the step that resolves the narrowest line; a "
+                "coarser grid aliases the lines", key="[gas].grid_step_cm")
     try:
         return uniform_grid(lo, hi, step, "set a coarser grid_step_cm")
     except ValueError as exc:

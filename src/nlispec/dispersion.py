@@ -13,6 +13,7 @@ Conventions:
   - The gas index follows the ideal-gas pressure law
         n(P, T) = 1 + P * (n0 - 1) / (P0 * (1 + (T - T0) / T0))
     which is affine in P with n(0, T) = 1 exactly.
+  - `read_ini` reads both INI inputs, crystal files and run configs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ValidityRangeError
+from .errors import ConfigError, ValidityRangeError, text_input
 
 SELLMEIER_FORMS = ("sellmeier-poles", "sellmeier-ratio")
 
@@ -188,31 +189,40 @@ def _axis_model(section, path: str, axis: str) -> SellmeierModel:
             poles.append(_parse_pair(section[key], key, path))
         elif key not in known:
             raise ConfigError(f"unknown key {key!r}", key=f"{path}:[{axis}]")
-    try:
-        a0 = float(section.get("a0", "0"))
-        lambda2 = float(section.get("lambda2", "0"))
-    except ValueError as exc:
-        raise ConfigError(str(exc), key=f"{path}:[{axis}]") from None
     if "valid_um" not in section:
         raise ConfigError("missing valid_um", key=f"{path}:[{axis}]")
     valid = _parse_pair(section["valid_um"], "valid_um", path)
-    return SellmeierModel(form, a0, tuple(poles), lambda2, valid, name=f"{path}:{axis}")
+    try:   # a number that does not parse, or a model that does not hold
+        return SellmeierModel(form, float(section.get("a0", "0")),
+                              tuple(poles), float(section.get("lambda2", "0")),
+                              valid, name=f"{path}:{axis}")
+    except ValueError as exc:
+        raise ConfigError(str(exc), key=f"{path}:[{axis}]") from None
+
+
+def read_ini(path) -> configparser.ConfigParser:
+    """The INI file `path`: UTF-8, `#` or `;` comments also after a value,
+    no `%` interpolation.  A file that does not decode or parse raises
+    ConfigError naming it; OSError passes through."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
+    with open(path, encoding="utf-8") as fh, text_input(path, ConfigError):
+        try:
+            cp.read_file(fh, source=str(path))
+        except configparser.Error as exc:
+            raise ConfigError(f"cannot parse: {exc}", key=str(path))
+    return cp
 
 
 def load_crystal_file(path) -> dict[str, SellmeierModel]:
     """Read a crystal coefficient file; returns {'ordinary': m, 'extraordinary': m}.
 
-    The file is INI-style UTF-8 with one section per axis; each section
+    The file is INI (`read_ini`) with one section per axis; each section
     declares its own `form`, `a0`, `pole<N> = B, C` entries, an optional
     `lambda2` term (poles form only) and a mandatory `valid_um = lo, hi`
     window.  Wavelengths are micrometres throughout.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cp.read_file(fh, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse coefficient file: {exc}", key=str(path))
+    cp = read_ini(path)
     models = {}
     for axis in ("ordinary", "extraordinary"):
         if not cp.has_section(axis):

@@ -2,7 +2,10 @@
 
 The CLI maps these onto its exit-code contract: configuration problems
 exit 2, I/O and parse problems exit 1, incompatible data exits 3.
+Text readers decode inside `text_input`, which names the undecodable file.
 """
+
+import contextlib
 
 
 class NlispecError(Exception):
@@ -42,3 +45,13 @@ class MapFormatError(NlispecError, ValueError):
 
 class AxisMismatchError(NlispecError, ValueError):
     """Two maps that must share axes/config do not."""
+
+
+@contextlib.contextmanager
+def text_input(path, error):
+    """Raise `error` naming `path` for bytes of it that are not UTF-8,
+    decoded anywhere in the `with` block."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None

@@ -51,7 +51,7 @@ used from each record, 1-based inclusive:
     3      isotopologue id    (0-9, then A=10, B=11, ...)
     4-15   center             [cm^-1]
     16-25  strength at 296 K  [cm^-1/(molecule cm^-2)], E10.3
-    26-35  Einstein A         (ignored)
+    26-35  Einstein A         (not read)
     36-40  air-broadening     [cm^-1/atm], HWHM at 296 K
     41-45  self-broadening    [cm^-1/atm], HWHM at 296 K
     46-55  lower-state energy [cm^-1]
@@ -70,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LineParseError
+from .errors import LineParseError, text_input
 from .kk import checked_uniform_grid
 
 C_CM_S = 2.99792458e10          # speed of light [cm/s]
@@ -565,21 +565,6 @@ def _line_windows(nu, centres, cutoff: float):
 
 # ------------------------------------------------------------ line lists
 
-# 0-based slices of the fixed-width record, with 1-based spans for errors
-_PAR_FIELDS = {
-    "mol_id": (slice(0, 2), (1, 2)),
-    "iso_id": (slice(2, 3), (3, 3)),
-    "nu0_cm": (slice(3, 15), (4, 15)),
-    "strength": (slice(15, 25), (16, 25)),
-    "einstein_a": (slice(25, 35), (26, 35)),
-    "gamma_air": (slice(35, 40), (36, 40)),
-    "gamma_self": (slice(40, 45), (41, 45)),
-    "elow_cm": (slice(45, 55), (46, 55)),
-    "n_air": (slice(55, 59), (56, 59)),
-}
-_PAR_MIN_LENGTH = 59
-
-
 def _fortran_float(text: str) -> float:
     return float(text.strip().replace("D", "E").replace("d", "e"))
 
@@ -592,6 +577,20 @@ def _iso_code(ch: str) -> int:
     raise ValueError(f"bad isotopologue code {ch!r}")
 
 
+# field -> (0-based slice of the fixed-width record, converter)
+_PAR_FIELDS = {
+    "mol_id": (slice(0, 2), int),
+    "iso_id": (slice(2, 3), _iso_code),
+    "nu0_cm": (slice(3, 15), _fortran_float),
+    "strength": (slice(15, 25), _fortran_float),
+    "gamma_air": (slice(35, 40), _fortran_float),
+    "gamma_self": (slice(40, 45), _fortran_float),
+    "elow_cm": (slice(45, 55), _fortran_float),
+    "n_air": (slice(55, 59), _fortran_float),
+}
+_PAR_MIN_LENGTH = max(span.stop for span, _ in _PAR_FIELDS.values())
+
+
 def parse_par_record(text: str, record: int | None = None) -> SpectralLine:
     """Parse one fixed-width transition record into a SpectralLine."""
     text = text.rstrip("\r\n")
@@ -601,20 +600,13 @@ def parse_par_record(text: str, record: int | None = None) -> SpectralLine:
             record=record,
         )
     raw = {}
-    for name, (span, cols) in _PAR_FIELDS.items():
-        field = text[span]
+    for name, (span, convert) in _PAR_FIELDS.items():
         try:
-            if name == "mol_id":
-                raw[name] = int(field)
-            elif name == "iso_id":
-                raw[name] = _iso_code(field)
-            else:
-                raw[name] = _fortran_float(field)
+            raw[name] = convert(text[span])
         except ValueError:
             raise LineParseError(
-                f"cannot parse {name} from {field!r}", record=record, columns=cols
-            ) from None
-    del raw["einstein_a"]
+                f"cannot parse {name} from {text[span]!r}", record=record,
+                columns=(span.start + 1, span.stop)) from None
     try:
         return SpectralLine(**raw)
     except ValueError as exc:
@@ -625,7 +617,8 @@ def load_par_file(path, molecule: int | None = None,
                   isotopologue: int | None = None) -> list[SpectralLine]:
     """Read a fixed-width line list, optionally keeping one molecule/isotopologue."""
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, \
+            text_input(path, LineParseError):
         for i, text in enumerate(fh, start=1):
             if not text.strip():
                 continue
@@ -648,24 +641,30 @@ _CSV_OPTIONAL = ("mol_id", "iso_id")
 def load_line_csv(path) -> list[SpectralLine]:
     """Read a line list from CSV with a header row naming each column."""
     out = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh, \
+            text_input(path, LineParseError):
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in _CSV_REQUIRED if c not in header]
-        if missing:
-            raise LineParseError(f"missing columns {missing} in {path}")
-        unknown = [c for c in header if c not in _CSV_REQUIRED + _CSV_OPTIONAL]
-        if unknown:
-            raise LineParseError(f"unknown columns {unknown} in {path}")
-        for row in reader:
-            try:
-                kwargs = {c: float(row[c]) for c in _CSV_REQUIRED}
-                for c in _CSV_OPTIONAL:
-                    if row.get(c) not in (None, ""):
-                        kwargs[c] = int(row[c])
-                out.append(SpectralLine(**kwargs))
-            except (TypeError, ValueError) as exc:
-                raise LineParseError(str(exc), record=reader.line_num) from None
+        try:
+            header = reader.fieldnames or []
+            missing = [c for c in _CSV_REQUIRED if c not in header]
+            if missing:
+                raise LineParseError(f"missing columns {missing} in {path}")
+            unknown = [c for c in header
+                       if c not in _CSV_REQUIRED + _CSV_OPTIONAL]
+            if unknown:
+                raise LineParseError(f"unknown columns {unknown} in {path}")
+            for row in reader:
+                try:
+                    kwargs = {c: float(row[c]) for c in _CSV_REQUIRED}
+                    for c in _CSV_OPTIONAL:
+                        if row.get(c) not in (None, ""):
+                            kwargs[c] = int(row[c])
+                    out.append(SpectralLine(**kwargs))
+                except (TypeError, ValueError) as exc:
+                    raise LineParseError(str(exc),
+                                         record=reader.line_num) from None
+        except csv.Error as exc:   # a NUL byte before Python 3.11, say
+            raise LineParseError(str(exc), record=reader.line_num) from None
     if not out:
         raise LineParseError(f"no lines in {path}")
     return out

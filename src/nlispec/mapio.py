@@ -21,19 +21,20 @@ header row, then one comma-separated line per row with floats printed
 as %.17g, so values and NaNs survive bit-exactly.  Readers take the
 meta from the leading comments, skip every line that is blank or
 starts with ``#`` after stripping, accept CRLF and leave the magic to
-the caller (hand-made maps have none).
+the caller (hand-made maps have none).  Bytes that are not UTF-8 fail
+as MapFormatError naming the file (`errors.text_input`).
 
 Each form has one reader, a `MapReader` that `open_map` returns: it
-reads and checks the header (magic, axes, meta, data size) when the
-map is opened, then hands out rows in increasing order, reading the
+opens the file once and reads and checks the header (magic, axes,
+meta, data size), then hands out rows in increasing order, reading the
 file one block of rows at a time.  It reads and checks every row of
 the file, also the rows not asked for (finite intensity in every form,
 and the cells of every `.csv` line, named by file line), so a caller
 that fits every 4th row fails on exactly the files that `load_map`
 rejects.  `load_map` is "open and read every row".  A `.csv` reader
 counts the cells of every line and takes its wavelength axis from the
-first cells in one pass over the file on open, and parses the rows in
-a second.
+first cells in one pass over the file on open, rewinds and parses the
+rows in a second.
 
 Each form has one writer too, fed by blocks of rows: `save_map_blocks`
 takes the axes, the meta and a block source, a function that yields
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MapFormatError
+from .errors import MapFormatError, text_input
 from .interferometer import BLOCK_ROWS, MapAxes, row_blocks
 
 _MAGIC = b"NLIMAP1\n"
@@ -173,10 +174,21 @@ class MapReader:
     """
 
     _fh = None   # the open file of a reader that reads one
+    _open_args = {"mode": "rb"}   # how that file is opened
+    _next = 0   # the first file row not read yet
 
-    def __init__(self, source, axes: MapAxes, meta):
-        self.source, self.axes, self.meta = source, axes, meta
-        self._next = 0   # the first file row not read yet
+    def __init__(self, path):
+        self._fh = open(path, **self._open_args)
+        try:
+            self.axes, self.meta = self._check(path)
+        except BaseException:   # no file is left open
+            self._fh.close()
+            raise
+        self.source = path
+
+    def _check(self, path) -> tuple[MapAxes, dict]:
+        """The axes and meta of the file just opened, read and checked."""
+        raise NotImplementedError
 
     def rows(self, idx) -> np.ndarray:
         """A copy of rows `idx`: non-decreasing indices, none of them
@@ -230,7 +242,7 @@ class MapReader:
 
 class _MemoryReader(MapReader):
     def __init__(self, m: IntensityMap):
-        super().__init__("map", m.axes, m.meta)
+        self.source, self.axes, self.meta = "map", m.axes, m.meta
         self._intensity = m.intensity
 
     def _fill(self, block, rows):
@@ -252,16 +264,7 @@ def _save_native(path, axes: MapAxes, meta: dict, blocks):
 
 
 class _NativeReader(MapReader):
-    def __init__(self, path):
-        self._fh = open(path, "rb")
-        try:
-            axes, meta = self._read_header(path)
-        except BaseException:
-            self._fh.close()
-            raise
-        super().__init__(path, axes, meta)
-
-    def _read_header(self, path):
+    def _check(self, path):
         # every length is checked against the file size before anything
         # of that length is allocated
         fh = self._fh
@@ -326,15 +329,6 @@ def _is_data_line(line: str) -> bool:
     return bool(text) and not text.startswith("#")
 
 
-@contextlib.contextmanager
-def _decoding(path):
-    """Fail a text table whose bytes are not UTF-8 as MapFormatError."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise MapFormatError(f"{path}: not UTF-8 text: {exc}") from None
-
-
 def _read_head(fh, path):
     """(magic or None, meta, header cells, data lines) of the text
     table open as `fh`, read through its header row; data lines yields
@@ -360,9 +354,9 @@ def _read_head(fh, path):
                                  if _is_data_line(line))
 
 
-def _parse_rows(path, lines, width) -> np.ndarray:
+def _parse_rows(fh, path, lines, width) -> np.ndarray:
     """The cells of `lines`, (file line number, line) pairs of data
-    lines, as a (lines x width) array; a line is parsed as it is read."""
+    lines of `fh`, as a (lines x width) array, parsed as they are read."""
     numbers = []
 
     def text():
@@ -377,27 +371,27 @@ def _parse_rows(path, lines, width) -> np.ndarray:
     except ValueError:
         table = None
     if table is None or table.shape[1] != width:
-        raise _cell_error(path, numbers, width)
+        raise _cell_error(fh, path, numbers, width)
     return table
 
 
-def _cell_error(path, numbers, width) -> MapFormatError:
-    """The error for the first of the file lines `numbers` of `path`
-    that is not `width` numbers; numpy's own message counts the lines
-    it was given, not file lines."""
+def _cell_error(fh, path, numbers, width) -> MapFormatError:
+    """The error for the first of the file lines `numbers` of `fh`, read
+    from the start, that is not `width` numbers; numpy's own message
+    counts the lines it was given, not file lines."""
     wanted = set(numbers)
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if number not in wanted:
-                continue
-            try:
-                cells = np.loadtxt([line], delimiter=",", comments=None,
-                                   ndmin=2).shape[1]
-            except ValueError:
-                cells = None
-            if cells != width:
-                return MapFormatError(
-                    f"{path}:{number}: bad cells: expected {width} numbers")
+    fh.seek(0)
+    for number, line in enumerate(fh, 1):
+        if number not in wanted:
+            continue
+        try:
+            cells = np.loadtxt([line], delimiter=",", comments=None,
+                               ndmin=2).shape[1]
+        except ValueError:
+            cells = None
+        if cells != width:
+            return MapFormatError(
+                f"{path}:{number}: bad cells: expected {width} numbers")
     return MapFormatError(f"{path}: bad cells")
 
 
@@ -405,12 +399,13 @@ def read_text_table(path):
     """(magic or None, meta, header cells, 2-D float array) of a text
     table; every defect raises MapFormatError.  The body is parsed as
     it is read, never held as text."""
-    with open(path, encoding="utf-8") as fh, _decoding(path):
+    with open(path, encoding="utf-8") as fh, \
+            text_input(path, MapFormatError):
         magic, meta, header, lines = _read_head(fh, path)
         first = next(lines, None)
         if first is None:
             raise MapFormatError(f"{path}: no data rows")
-        table = _parse_rows(path, itertools.chain((first,), lines),
+        table = _parse_rows(fh, path, itertools.chain((first,), lines),
                             len(header))
     return magic, meta, header, table
 
@@ -424,14 +419,18 @@ def _save_csv(path, axes: MapAxes, meta: dict, blocks):
 
 
 class _CsvReader(MapReader):
-    def __init__(self, path):
-        # one pass on open counts every line's cells (the data size) and
-        # reads the wavelength axis from the first cells; a second parses
-        # the rows as they are asked for
-        with open(path, encoding="utf-8") as fh, _decoding(path):
-            _, meta, header, lines = _read_head(fh, path)
+    _open_args = {"encoding": "utf-8"}
+
+    def _check(self, path):
+        # one pass counts every line's cells (the data size) and reads
+        # the wavelength axis from the first cells; the file is then
+        # rewound, and the rows are parsed as they are asked for
+        with text_input(path, MapFormatError):
+            _, meta, header, lines = _read_head(self._fh, path)
             wavelength = [self._first_cell(path, n, line, len(header))
                           for n, line in lines]
+            self._fh.seek(0)
+            self._lines = _read_head(self._fh, path)[3]
         if not wavelength:
             raise MapFormatError(f"{path}: no data rows")
         if header[0] != "wavelength_nm":
@@ -442,14 +441,7 @@ class _CsvReader(MapReader):
                            np.array(header[1:], dtype=float))
         except ValueError as exc:
             raise MapFormatError(f"{path}: {exc}") from None
-        self._fh = open(path, encoding="utf-8")
-        try:
-            with _decoding(path):
-                self._lines = _read_head(self._fh, path)[3]
-        except BaseException:
-            self._fh.close()
-            raise
-        super().__init__(path, axes, meta)
+        return axes, meta
 
     @staticmethod
     def _first_cell(path, number, line, width) -> float:
@@ -462,8 +454,8 @@ class _CsvReader(MapReader):
             f"{path}:{number}: bad cells: expected {width} numbers")
 
     def _fill(self, block, rows):
-        with _decoding(self.source):
-            table = _parse_rows(self.source, itertools.islice(
+        with text_input(self.source, MapFormatError):
+            table = _parse_rows(self._fh, self.source, itertools.islice(
                 self._lines, len(rows)), rows.shape[1] + 1)
         rows[...] = table[:, 1:]
 
@@ -502,8 +494,8 @@ def _save_pgm(path, axes: MapAxes, meta: dict, blocks):
 
 
 class _PgmReader(MapReader):
-    def __init__(self, path):
-        sidecar = str(path) + ".json"
+    def _check(self, path):
+        sidecar = path + ".json"
         try:
             with open(sidecar, encoding="utf-8") as fh:
                 side = json.load(fh)
@@ -521,15 +513,6 @@ class _PgmReader(MapReader):
                 from None
         if not np.all(np.isfinite((self._offset, self._span))):
             raise MapFormatError(f"{sidecar}: intensity scale is not finite")
-        self._fh = open(path, "rb")
-        try:
-            self._read_header(path, axes)
-        except BaseException:
-            self._fh.close()
-            raise
-        super().__init__(path, axes, side.get("meta", {}))
-
-    def _read_header(self, path, axes):
         # three newline-ended lines: P5, the width and height, the maxval
         fh = self._fh
         lines = [fh.readline(_PGM_LINE) for _ in range(3)]
@@ -545,6 +528,7 @@ class _PgmReader(MapReader):
             raise MapFormatError(f"{path}: PGM header disagrees with sidecar")
         if os.fstat(fh.fileno()).st_size - fh.tell() != rows * cols * 2:
             raise MapFormatError(f"{path}: truncated pixel data")
+        return axes, side.get("meta", {})
 
     def _fill(self, block, rows):
         levels = np.empty(rows.shape, dtype=">u2")

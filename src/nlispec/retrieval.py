@@ -93,6 +93,10 @@ _MAX_PASSES = 20
 # fringes a row must resolve for the envelope fit to leave them intact.
 _ENVELOPE_DEGREE = 4
 _MIN_FRINGES = 8
+# the fewest pixels that hold _MIN_FRINGES fringes, a maximum and a
+# minimum each, with an edge pixel on either side; a narrower strip is
+# NaN before its envelope fit, which it could not determine
+_MIN_PIXELS = 2 * _MIN_FRINGES + 2
 # The 3 x 3 Gram matrix G of the model fit: its six distinct entries
 # (row, column), and where each entry of the full matrix sits among
 # them.  1 / (G_ii (G^-1)_ii) = 1 - R_i^2 is the share of design column
@@ -273,12 +277,15 @@ def fit_rows_extrema(rows) -> RowEstimate:
 
     `rows` is an (n_rows, n_angle) array or a single row.  Each row is
     divided by a fitted polynomial envelope; its contrast is the median
-    local contrast of adjacent refined extrema.  A row with a
-    non-positive envelope, fewer than _MIN_FRINGES full fringes or no
-    usable pair is NaN in every field; the other rows are read as usual.
+    local contrast of adjacent refined extrema.  A row with fewer than
+    _MIN_PIXELS pixels, a non-positive envelope, fewer than _MIN_FRINGES
+    full fringes or no usable pair is NaN in every field; the other rows
+    are read as usual.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     n_rows, poly = rows.shape[0], np.polynomial.polynomial
+    if rows.shape[1] < _MIN_PIXELS:
+        return RowEstimate(*np.full((5, n_rows), math.nan))
     x = np.linspace(-1.0, 1.0, rows.shape[1])
     env = poly.polyval(x, poly.polyfit(x, rows.T, _ENVELOPE_DEGREE))
     lit = np.all(env > 0, axis=1)

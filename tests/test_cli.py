@@ -22,6 +22,7 @@ from nlispec.config import (_KEYS, build_axes, build_gas, build_geometry,
 from nlispec.dispersion import gas_index
 from nlispec.errors import MapFormatError
 from nlispec.interferometer import MapAxes, simulate_map
+from nlispec.lineshape import load_line_csv, load_par_file
 from nlispec.mapio import IntensityMap, load_map, save_map
 from nlispec.retrieval import (RetrievalResult, _model_pattern,
                                load_result_csv, retrieve, save_result_csv)
@@ -464,6 +465,124 @@ def test_info_survives_map_byte_fuzz(tmp_path, capsys, target):
     capsys.readouterr()
 
 
+def _par_record(line, einstein_a="0.000E+00"):
+    """`line` as a 160-column fixed-width record; the demo's exaggerated
+    widths take one decimal in their 5-column spans."""
+    return (f"{line.mol_id:2d}{line.iso_id:1d}{line.nu0_cm:12.6f}"
+            f"{line.strength:10.3E}{einstein_a:>10}{line.gamma_air:5.1f}"
+            f"{line.gamma_self:5.1f}{line.elow_cm:10.4f}"
+            f"{line.n_air:4.2f}").ljust(160)
+
+
+def _text_inputs(small_demo_config, tmp_path, lines):
+    """{input: path} of a small demo run whose config, crystal file and
+    line list (`lines`, .csv or .par) are copies in `tmp_path`."""
+    cp = configparser.ConfigParser()
+    cp.read_dict(small_demo_config)
+    cp["crystal"]["coefficients"] = "crystal.nlc"
+    cp["gas"]["lines"] = lines
+    paths = {"config": tmp_path / "run.cfg",
+             "crystal": tmp_path / "crystal.nlc",
+             "lines": tmp_path / lines}
+    with open(paths["config"], "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    shutil.copy(data_path("mgo_linbo3_zelmon.nlc"), paths["crystal"])
+    if lines.endswith(".par"):
+        paths["lines"].write_text("".join(
+            _par_record(line) + "\n" for line in
+            load_line_csv(data_path("co2_synthetic_lines.csv"))))
+    else:
+        shutil.copy(data_path("co2_synthetic_lines.csv"), paths["lines"])
+    return paths
+
+
+# (input, line list), each with the exit code of a file that is not UTF-8
+_TEXT_INPUTS = [("config", "lines.csv", 2), ("crystal", "lines.csv", 2),
+                ("lines", "lines.csv", 1), ("lines", "lines.par", 1)]
+_TEXT_IDS = ["config", "crystal", "csv_lines", "par_lines"]
+
+
+@pytest.mark.parametrize("target, lines, _", _TEXT_INPUTS, ids=_TEXT_IDS)
+def test_simulate_survives_text_input_byte_fuzz(small_demo_config, tmp_path,
+                                                capsys, target, lines, _):
+    paths = _text_inputs(small_demo_config, tmp_path, lines)
+    victim = paths[target]
+    original = victim.read_bytes()
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        victim.write_bytes(_mutate(original, rng))
+        assert main(["simulate", str(paths["config"]), "-o",
+                     str(tmp_path / "x.nlm")]) in (0, 1, 2)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("target, lines, code", _TEXT_INPUTS, ids=_TEXT_IDS)
+def test_text_input_that_is_not_utf8_names_the_file(small_demo_config,
+                                                    tmp_path, capsys, target,
+                                                    lines, code):
+    paths = _text_inputs(small_demo_config, tmp_path, lines)
+    with open(paths[target], "ab") as fh:
+        fh.write(b"\xff")
+    assert main(["simulate", str(paths["config"]), "-o",
+                 str(tmp_path / "x.nlm")]) == code
+    assert f"{paths[target]}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "x.nlm").exists()
+
+
+@pytest.mark.parametrize("command", [["simulate", "-o", "x.nlm"],
+                                     ["pump-angle"]])
+def test_config_path_that_is_a_directory_exits_1(tmp_path, capsys, command):
+    argv = [command[0], str(tmp_path), *command[1:]]
+    assert main(argv) == 1
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_percent_sign_in_a_config_value_is_read_as_itself(tmp_path,
+                                                          capsys):
+    # both INI files are read without interpolation: a `%` that is not
+    # `%%` or `%(name)s` used to end in a configparser traceback
+    shutil.copy(data_path("co2_synthetic_lines.csv"), tmp_path / "co2%.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CFG.replace("co2_synthetic_lines.csv", "co2%.csv"))
+    assert load_run_config(cfg).lines_path == str(tmp_path / "co2%.csv")
+    assert main(["pump-angle", str(cfg)]) == 0
+
+
+def test_par_record_with_a_non_numeric_einstein_a_loads(tmp_path):
+    line = load_line_csv(data_path("co2_synthetic_lines.csv"))[0]
+    path = tmp_path / "lines.par"
+    path.write_text(_par_record(line, einstein_a="not read") + "\n")
+    (back,) = load_par_file(path)
+    assert back.mol_id == line.mol_id and back.iso_id == line.iso_id
+    assert back.nu0_cm == line.nu0_cm
+    assert (back.gamma_air, back.gamma_self) == (line.gamma_air,
+                                                 line.gamma_self)
+
+
+def test_coarse_explicit_grid_step_at_low_pressure_exits_2(tmp_path, capsys):
+    # at 0.01 Torr the lines are Doppler-limited, ~0.0024 cm^-1 wide: the
+    # demo's 0.25 cm^-1 step is ~800 times line_grid_step and would alias
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    with open(data_path("co2_demo.cfg"), encoding="utf-8") as fh:
+        cp.read_file(fh)
+    cp["gas"]["pressure_torr"] = "0.01"
+    assert cp["gas"]["grid_step_cm"] == "0.25"
+    cfg = tmp_path / "thin.cfg"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    out = tmp_path / "x.nlm"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 2
+    assert "[gas].grid_step_cm" in capsys.readouterr().err
+    assert not out.exists()
+    # a 0 Torr gas absorbs nothing, so no step aliases it
+    cp["gas"]["pressure_torr"] = "0"
+    cp["signal_axis"]["samples"] = "4"
+    cp["angle_axis"]["pixels"] = "8"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 0
+
+
 def test_info_reads_a_long_csv_body_as_it_streams(tmp_path, capsys):
     # CRLF line ends, blank and comment lines in the body, then one byte
     # that is not UTF-8 far past the first block the reader decodes
@@ -649,6 +768,23 @@ def test_retrieve_narrow_map_exits_0_with_nan_rows(small_demo_config,
         for name in ("visibility", "alpha_cm", "alpha_sigma_cm",
                      "phase_shift_rad", "index_offset", "index_offset_sigma"):
             assert np.isnan(getattr(res, name)).all(), name
+
+
+@pytest.mark.parametrize("pixels", [1, 2, 3, 4])
+def test_retrieve_extrema_narrow_map_is_nan_without_a_warning(
+        small_demo_config, tmp_path, capsys, pixels):
+    # too few pixels to hold _MIN_FRINGES fringes: every row is NaN before
+    # the envelope fit, so numpy's RankWarning, an error under this
+    # suite's filterwarnings, never fires
+    cfg, *maps = _narrow_pair(small_demo_config, tmp_path, pixels)
+    out = tmp_path / "result.csv"
+    assert main(["retrieve", *maps, cfg, "-o", str(out), "--engine",
+                 "extrema"]) == 0
+    assert capsys.readouterr().out.endswith("(no finite rows)\n")
+    res = load_result_csv(out)
+    np.testing.assert_array_equal(res.rows, np.arange(8))
+    for name in ("visibility", "alpha_cm", "alpha_sigma_cm"):
+        assert np.isnan(getattr(res, name)).all(), name
 
 
 def test_retrieve_eight_pixel_map_is_fitted(small_demo_config, tmp_path):

@@ -581,6 +581,16 @@ def test_csv_bad_value_reports_row(tmp_path):
         load_line_csv(p)
 
 
+def test_csv_reader_error_is_a_line_parse_error(tmp_path):
+    # an unclosed quote runs the field past the csv module's size limit;
+    # before Python 3.11 a NUL byte raised the same csv.Error
+    p = tmp_path / "bad.csv"
+    p.write_text("nu0_cm,strength,gamma_air,gamma_self,elow_cm,n_air\n"
+                 '"' + "1" * 200_000 + "\n", encoding="utf-8")
+    with pytest.raises(LineParseError, match="field limit"):
+        load_line_csv(p)
+
+
 def test_spectral_line_validation():
     with pytest.raises(ValueError):
         SpectralLine(-1.0, 1e-19, 0.09, 0.14, 500.0, 0.75)

@@ -3,9 +3,11 @@
 A P/R-branch-like comb around 2349 cm^-1: 37 lines, 2.5 cm^-1 apart,
 lower-state energies on a rigid-rotor ramp and intensities following a
 Boltzmann-weighted double horn.  Broadening coefficients are scaled up
-by roughly 100x over realistic values so the lines stay pressure
-broadened at the ~10 Torr conditions of the demo config; the list is
-for exercising the pipeline, not for spectroscopy.
+about 1000-1500x over realistic values (gamma_self 145 and gamma_air
+95 cm^-1/atm, against ~0.1 and ~0.07 for CO2), so the lines stay
+pressure broadened and span several map rows at the ~10 Torr
+conditions of the demo config; the list is for exercising the
+pipeline, not for spectroscopy.
 
 Strengths are normalised so the peak absorption coefficient at
 10.5 Torr / 300 K comes out near 0.45 cm^-1.
