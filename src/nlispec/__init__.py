@@ -27,10 +27,9 @@ _EXPORTS = {
                        "absorption_from_visibility", "check_beam_overlap",
                        "collinear_phase_matching_angle",
                        "crystal_phase_mismatch", "detector_angle_axis",
-                       "fringe_template", "gap_fringe_amplitude",
-                       "gap_mismatch", "gap_phase", "idler_wavelength_nm",
-                       "index_offset_from_phase", "interference_intensity",
-                       "lambda_nm_from_nu_cm", "nu_cm_from_lambda_nm",
+                       "fringe_template", "gap_mismatch", "gap_response",
+                       "idler_wavelength_nm", "index_offset_from_phase",
+                       "interference_intensity", "nu_cm_from_lambda_nm",
                        "simulate_map", "with_gaussian_noise"),
     "kk": ("index_change_from_absorption", "index_change_weights"),
     "lineshape": ("SpectralLine", "absorption_coefficient", "doppler_hwhm",

@@ -7,9 +7,10 @@ over it rejects unknown sections and keys, reports a missing section or
 required key, and converts and range-checks every key that is given,
 even one that another key leaves unused.  Each failure raises
 ConfigError naming the offending `path:[section].key`.  Only the rules
-that tie several keys together are code after that loop.  Keys carry
-their unit in the name, so a config file can be read without
-consulting the docs.
+that tie several keys together are code after that loop.  The
+builders' rules, checked later, name the same `path:[section].key`
+through `RunConfig.config_path`.  Keys carry their unit in the name,
+so a config file can be read without consulting the docs.
 
 The [gas] section's `lines` (and [crystal] `coefficients`) accept
 either a path, a relative one taken from the config file's directory,
@@ -47,6 +48,7 @@ if TYPE_CHECKING:
 class RunConfig:
     """Validated contents of a run configuration file."""
 
+    config_path: str  # the file itself, which later errors name
     crystal_path: str
     cut_angle_rad: float
     pump_wavelength_nm: float
@@ -196,7 +198,7 @@ def load_run_config(path) -> RunConfig:
     for section in cp.sections():
         if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]", key=str(path))
-    fields = {}
+    fields = {"config_path": str(path)}
     for section, keys in _KEYS.items():
         given = cp[section] if cp.has_section(section) else {}
         for key in given:
@@ -263,7 +265,7 @@ def _increasing(axis: np.ndarray, where: str) -> np.ndarray:
 def build_axes(cfg: RunConfig) -> MapAxes:
     wavelength = np.linspace(cfg.signal_min_nm, cfg.signal_max_nm,
                              cfg.signal_samples)
-    return MapAxes(_increasing(wavelength, "[signal_axis]"),
+    return MapAxes(_increasing(wavelength, f"{cfg.config_path}:[signal_axis]"),
                    cfg.angle_axis_rad)
 
 
@@ -315,9 +317,10 @@ def gas_grid(cfg: RunConfig, lines) -> np.ndarray:
     nu_edges = nu_cm_from_lambda_nm(lam_i_edges)
     lo = nu_edges.min() - cfg.grid_pad_cm
     hi = nu_edges.max() + cfg.grid_pad_cm
+    where = f"{cfg.config_path}:[gas]"
     if not lo > 0:
         raise ConfigError(f"idler grid starts at {lo:.6g} cm^-1, not above 0",
-                          key="[gas].grid_pad_cm")
+                          key=f"{where}.grid_pad_cm")
     step = cfg.grid_step_cm
     if step is None or cfg.pressure_torr > 0:
         fine = line_grid_step(lines, cfg.pressure_torr, cfg.temperature_k,
@@ -328,11 +331,12 @@ def gas_grid(cfg: RunConfig, lines) -> np.ndarray:
             raise ConfigError(
                 f"{step:g} cm^-1 is over {_COARSEST_STEP} x {fine:.3g} "
                 "cm^-1, the step that resolves the narrowest line; a "
-                "coarser grid aliases the lines", key="[gas].grid_step_cm")
+                "coarser grid aliases the lines", key=f"{where}.grid_step_cm")
     try:
         return uniform_grid(lo, hi, step, "set a coarser grid_step_cm")
     except ValueError as exc:
-        raise ConfigError(f"idler {exc}", key="[gas].grid_step_cm") from None
+        raise ConfigError(f"idler {exc}",
+                          key=f"{where}.grid_step_cm") from None
 
 
 def build_gas(cfg: RunConfig) -> GasState:

@@ -26,8 +26,7 @@ import numpy as np
 
 from .dispersion import GasIndexModel, gas_index
 from .errors import ValidityRangeError
-# the wavelength conversions live beside idler_wavelength_nm
-from .interferometer import lambda_nm_from_nu_cm, nu_cm_from_lambda_nm  # noqa: F401
+from .interferometer import nu_cm_from_lambda_nm
 from .kk import index_change_from_absorption
 from .lineshape import (DEFAULT_WING_CUTOFF_CM, LineArrays,
                         absorption_coefficient, line_grid_step, line_strength,

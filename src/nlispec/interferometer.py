@@ -29,7 +29,8 @@ visible-band index n_vis of the gap: `fringe_template` gives the parts
 a sample map and its evacuated reference share, `gap_mismatch` the gap
 term that differs.  Against it a row's phase moves by d m, m the
 off-axis steepening 1/sqrt(1 - (q / k_i)^2).  One convention ties the
-gap terms to their inverses, with V = tau_sample / tau_reference and
+gap terms, which `gap_response` forms from one lookup of the gas, to
+their inverses, with V = tau_sample / tau_reference and
 dphi = d_sample - d_reference:
 
     tau = exp(-alpha_i L_m),                so alpha_i = -ln(V) / L_m;
@@ -88,17 +89,13 @@ def idler_wavelength_nm(pump_nm, signal_nm):
 
 
 def nu_cm_from_lambda_nm(lambda_nm):
-    """Vacuum wavenumber [cm^-1] from vacuum wavelength [nm]."""
+    """Vacuum wavenumber [cm^-1] from vacuum wavelength [nm], and the
+    wavelength from the wavenumber: the map is its own inverse."""
     lam = np.asarray(lambda_nm, dtype=float)
     if np.any(lam <= 0):
         raise ValueError("non-positive wavelength")
     nu = NM_PER_CM / lam
     return float(nu) if np.isscalar(lambda_nm) else nu
-
-
-def lambda_nm_from_nu_cm(nu_cm):
-    """Vacuum wavelength [nm] from vacuum wavenumber [cm^-1]."""
-    return nu_cm_from_lambda_nm(nu_cm)  # the map is its own inverse
 
 
 @dataclass(frozen=True)
@@ -228,12 +225,18 @@ def gap_mismatch(geom: InterferometerGeometry, visible_index, idler_index,
                      idler_index, lambda_s_nm, theta_rad)
 
 
-def gap_phase(geom: InterferometerGeometry, gas: GasState, lambda_s_nm,
-              theta_rad) -> np.ndarray:
-    """delta_m [rad] across the gas-filled gap, shape (n_wavelength, n_angle)."""
-    lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lambda_s_nm)
-    return gap_mismatch(geom, gas.visible_index(), gas.idler_index_at(lam_i),
-                        lambda_s_nm, theta_rad)
+def gap_response(geom: InterferometerGeometry, gas: GasState, lambda_s_nm,
+                 theta_rad) -> tuple[np.ndarray, np.ndarray]:
+    """(delta_m, tau) of the gas-filled gap from one idler lookup per row:
+    delta_m [rad] per pixel, shape (n_wavelength, n_angle), and the
+    fringe-amplitude transmission tau = exp(-alpha_i L_m) per row,
+    shape (n_wavelength, 1)."""
+    lam_s = np.atleast_1d(np.asarray(lambda_s_nm, dtype=float))
+    lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lam_s)
+    delta_m = gap_mismatch(geom, gas.visible_index(),
+                           gas.idler_index_at(lam_i), lam_s, theta_rad)
+    alpha = gas.idler_absorption_at(lam_i)
+    return delta_m, np.exp(-alpha * geom.gap_length_cm)[:, None]
 
 
 def index_offset_from_phase(phase_shift_rad, idler_wavelength_nm_,
@@ -249,15 +252,6 @@ def index_offset_from_phase(phase_shift_rad, idler_wavelength_nm_,
     if sigma is None:
         return out
     return out, lam_cm / (2.0 * math.pi * gap_length_cm) * sigma
-
-
-def gap_fringe_amplitude(geom: InterferometerGeometry, gas: GasState,
-                         lambda_s_nm) -> np.ndarray:
-    """Fringe-amplitude transmission tau = exp(-alpha_i L_m) per wavelength."""
-    lam_i = idler_wavelength_nm(geom.pump_wavelength_nm,
-                                np.atleast_1d(np.asarray(lambda_s_nm, float)))
-    alpha = np.atleast_1d(gas.idler_absorption_at(lam_i))
-    return np.exp(-alpha * geom.gap_length_cm)
 
 
 def absorption_from_visibility(visibility, gap_length_cm: float,
@@ -328,8 +322,7 @@ def render_blocks(geom: InterferometerGeometry, gas: GasState,
     lam, theta = axes.wavelength_nm, axes.angle_rad
     for blk in row_blocks(lam.size):
         delta = crystal_phase_mismatch(geom, lam[blk], theta)
-        delta_m = gap_phase(geom, gas, lam[blk], theta)
-        tau = gap_fringe_amplitude(geom, gas, lam[blk])[:, None]
+        delta_m, tau = gap_response(geom, gas, lam[blk], theta)
         block = interference_intensity(delta, delta_m, tau)
         if not np.all(np.isfinite(block)):
             raise ValidityRangeError(

@@ -582,8 +582,6 @@ def open_map(source) -> MapReader:
     save_map; a file's header is read and checked here."""
     if isinstance(source, IntensityMap):
         return _MemoryReader(source)
-    if not os.path.exists(str(source)):
-        raise FileNotFoundError(str(source))
     return _format_for(source)[1](str(source))
 
 

@@ -284,6 +284,24 @@ def test_exit_code_missing_input(workdir, tmp_path, capsys):
                  str(workdir / "reference.nlm"), str(workdir / "run.cfg"),
                  "-o", str(tmp_path / "r.csv")])
     assert code == 1
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err
+    assert str(tmp_path / "absent.nlm") in err
+
+
+@pytest.mark.parametrize("suffix, reason", [
+    (".nlm", "No such file or directory"),
+    (".csv", "No such file or directory"),
+    (".pgm", "No such file or directory"),
+    (".txt", "unsupported map suffix"),
+])
+def test_info_on_a_missing_map_names_the_reason(tmp_path, capsys, suffix,
+                                                reason):
+    path = tmp_path / f"absent{suffix}"
+    assert main(["info", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert reason in err
+    assert str(path) in err
 
 
 @pytest.mark.parametrize("target", ["missing directory", "directory"])
@@ -572,7 +590,7 @@ def test_coarse_explicit_grid_step_at_low_pressure_exits_2(tmp_path, capsys):
         cp.write(fh)
     out = tmp_path / "x.nlm"
     assert main(["simulate", str(cfg), "-o", str(out)]) == 2
-    assert "[gas].grid_step_cm" in capsys.readouterr().err
+    assert f"{cfg}:[gas].grid_step_cm: " in capsys.readouterr().err
     assert not out.exists()
     # a 0 Torr gas absorbs nothing, so no step aliases it
     cp["gas"]["pressure_torr"] = "0"
@@ -581,6 +599,31 @@ def test_coarse_explicit_grid_step_at_low_pressure_exits_2(tmp_path, capsys):
     with open(cfg, "w", encoding="utf-8") as fh:
         cp.write(fh)
     assert main(["simulate", str(cfg), "-o", str(out)]) == 0
+
+
+@pytest.mark.parametrize("section, key, value, where", [
+    # 512 samples across one rounding step of 601.5 nm cannot be distinct
+    ("signal_axis", "max_nm", "601.5000000000001", "[signal_axis]"),
+    # the pad reaches below 0 cm^-1 from the ~2170 cm^-1 band edge
+    ("gas", "grid_pad_cm", "3000", "[gas].grid_pad_cm"),
+    # ~412k points at 0.001 cm^-1, over the 200001-point cap
+    ("gas", "grid_step_cm", "0.001", "[gas].grid_step_cm"),
+], ids=["collapsed_signal_axis", "grid_pad", "grid_point_cap"])
+def test_config_error_after_loading_names_the_file(tmp_path, capsys, section,
+                                                   key, value, where):
+    # rules that the builders check after load_run_config name the file
+    # as its own errors do
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    with open(data_path("co2_demo.cfg"), encoding="utf-8") as fh:
+        cp.read_file(fh)
+    cp[section][key] = value
+    cfg = tmp_path / "run.cfg"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    out = tmp_path / "x.nlm"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 2
+    assert f"{cfg}:{where}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_info_reads_a_long_csv_body_as_it_streams(tmp_path, capsys):

@@ -114,10 +114,11 @@ def test_build_axes_shape(tmp_path):
 def test_build_axes_rejects_collapsed_signal_axis(tmp_path):
     # 16 samples across one rounding step of 604 nm cannot be distinct
     text = MINIMAL.replace("max_nm = 612.0", "max_nm = 604.0000000000001")
-    cfg = load_run_config(write_cfg(tmp_path, text))
+    path = write_cfg(tmp_path, text)
+    cfg = load_run_config(path)
     with pytest.raises(ConfigError) as err:
         build_axes(cfg)
-    assert err.value.key == "[signal_axis]"
+    assert err.value.key == f"{path}:[signal_axis]"
 
 
 def test_gas_grid_covers_map(tmp_path):

@@ -18,9 +18,8 @@ from nlispec.interferometer import (
     collinear_phase_matching_angle,
     crystal_phase_mismatch,
     detector_angle_axis,
-    gap_fringe_amplitude,
     gap_mismatch,
-    gap_phase,
+    gap_response,
     idler_wavelength_nm,
     interference_intensity,
     simulate_map,
@@ -78,12 +77,12 @@ def test_crystal_phase_grows_quadratically_with_angle(const_geom):
 
 
 def test_vacuum_gap_phase_zero_on_axis(const_geom):
-    delta_m = gap_phase(const_geom, VACUUM, [600.0, 607.11], [0.0])
+    delta_m = gap_response(const_geom, VACUUM, [600.0, 607.11], [0.0])[0]
     np.testing.assert_allclose(delta_m, 0.0, atol=1e-9)
 
 
 def test_vacuum_gap_phase_curvature(const_geom):
-    delta_m = gap_phase(const_geom, VACUUM, 607.11, [1e-3])[0, 0]
+    delta_m = gap_response(const_geom, VACUUM, 607.11, [1e-3])[0][0, 0]
     assert delta_m == pytest.approx(0.5 * 2091327.8215882003 * 1e-6, rel=1e-4)
 
 
@@ -92,16 +91,16 @@ def test_gap_phase_flat_index_offset(const_geom):
     # -2 pi dn L_m / lambda_i; frozen for dn=1e-5, L_m=25 mm, 4300 nm
     signal = 607.1125265392782  # idler lands exactly on 4300 nm
     gas = flat_gas(dn=1e-5)
-    shift = (gap_phase(const_geom, gas, signal, [0.0])
-             - gap_phase(const_geom, VACUUM, signal, [0.0]))[0, 0]
+    shift = (gap_response(const_geom, gas, signal, [0.0])[0]
+             - gap_response(const_geom, VACUUM, signal, [0.0])[0])[0, 0]
     assert shift == pytest.approx(-0.36530147134765045, rel=1e-9)
 
 
 def test_gap_amplitude_is_exponential_in_absorption(const_geom):
     gas = flat_gas(alpha=0.3)
-    tau = gap_fringe_amplitude(const_geom, gas, [607.11])[0]
+    tau = gap_response(const_geom, gas, [607.11], [0.0])[1][0, 0]
     assert tau == pytest.approx(math.exp(-0.3 * 2.5), rel=1e-12)
-    assert gap_fringe_amplitude(const_geom, VACUUM, [607.11])[0] == 1.0
+    assert gap_response(const_geom, VACUUM, [607.11], [0.0])[1][0, 0] == 1.0
 
 
 # ------------------------------------------------------ intensity law
@@ -211,7 +210,7 @@ def test_beam_overlap_check(const_geom, small_axes):
 def test_steep_angle_rejected(const_geom):
     # sin(theta) > lambda_s / lambda_i makes the gap idler evanescent
     with pytest.raises(ValueError, match="steep"):
-        gap_phase(const_geom, VACUUM, 607.11, [0.2])
+        gap_response(const_geom, VACUUM, 607.11, [0.2])
 
 
 def test_gap_mismatch_out_of_float_range_rejected(const_geom):
@@ -227,7 +226,7 @@ def test_gap_phase_is_the_gap_mismatch_of_the_gas(const_geom):
     gas = flat_gas(dn=2e-5, alpha=0.3)
     lam_i = idler_wavelength_nm(const_geom.pump_wavelength_nm, lam)
     assert np.array_equal(
-        gap_phase(const_geom, gas, lam, theta),
+        gap_response(const_geom, gas, lam, theta)[0],
         gap_mismatch(const_geom, gas.visible_index(),
                      gas.idler_index_at(lam_i), lam, theta))
 

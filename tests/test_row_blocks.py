@@ -16,8 +16,7 @@ from nlispec.dispersion import gas_index
 from nlispec.interferometer import (
     MapAxes,
     crystal_phase_mismatch,
-    gap_fringe_amplitude,
-    gap_phase,
+    gap_response,
     interference_intensity,
     row_blocks,
     simulate_map,
@@ -333,8 +332,7 @@ def test_simulate_map_equals_the_whole_map_composition(demo, axes150):
     lam, theta = axes150.wavelength_nm, axes150.angle_rad
     whole = interference_intensity(
         crystal_phase_mismatch(demo.geom, lam, theta),
-        gap_phase(demo.geom, demo.gas, lam, theta),
-        gap_fringe_amplitude(demo.geom, demo.gas, lam)[:, None])
+        *gap_response(demo.geom, demo.gas, lam, theta))
     assert np.array_equal(simulate_map(demo.geom, demo.gas, axes150), whole)
 
 
