@@ -298,6 +298,8 @@ def load_lines(cfg: RunConfig):
 
 # an explicit grid step may be at most this many times `line_grid_step`
 _COARSEST_STEP = 16
+# one cap for every idler grid; the FFT KK transform takes tens of ms here
+_MAX_GRID_POINTS = 200001
 
 
 def gas_grid(cfg: RunConfig, lines) -> np.ndarray:
@@ -306,9 +308,9 @@ def gas_grid(cfg: RunConfig, lines) -> np.ndarray:
     Its step is `[gas].grid_step_cm`, or `line_grid_step` where that is
     not given.  A gas above 0 Torr whose explicit step exceeds
     16 x `line_grid_step` is rejected: such a grid falls between the
-    line cores and shows aliased absorption.
+    line cores and shows aliased absorption.  The grid has at least the
+    3 points the KK transform needs and at most 200,001.
     """
-    from .gas import uniform_grid
     from .lineshape import line_grid_step
 
     lam_i_edges = idler_wavelength_nm(
@@ -332,11 +334,12 @@ def gas_grid(cfg: RunConfig, lines) -> np.ndarray:
                 f"{step:g} cm^-1 is over {_COARSEST_STEP} x {fine:.3g} "
                 "cm^-1, the step that resolves the narrowest line; a "
                 "coarser grid aliases the lines", key=f"{where}.grid_step_cm")
-    try:
-        return uniform_grid(lo, hi, step, "set a coarser grid_step_cm")
-    except ValueError as exc:
-        raise ConfigError(f"idler {exc}",
-                          key=f"{where}.grid_step_cm") from None
+    npts = np.ceil((hi - lo) / step) + 1
+    if not npts <= _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"idler grid needs {npts:.0f} points (> {_MAX_GRID_POINTS}); "
+            "set a coarser grid_step_cm", key=f"{where}.grid_step_cm")
+    return np.linspace(lo, hi, max(int(npts), 3))
 
 
 def build_gas(cfg: RunConfig) -> GasState:

@@ -57,7 +57,7 @@ class SellmeierModel:
     def check_range(self, lambda_um):
         lam = np.asarray(lambda_um, dtype=float)
         lo, hi = self.valid_um
-        if np.any(lam < lo) or np.any(lam > hi):
+        if not np.all((lam >= lo) & (lam <= hi)):  # NaN is outside
             raise ValidityRangeError(
                 f"wavelength {np.min(lam):.4g}-{np.max(lam):.4g} um outside "
                 f"validity range [{lo:g}, {hi:g}] um of {self.name or self.form}"

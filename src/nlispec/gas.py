@@ -14,8 +14,10 @@ causal by construction: retrieving alpha and n independently from a
 simulated measurement and checking them against each other is then a
 meaningful test, not a tautology.
 
-Wavelength lookups interpolate linearly on the stored grid and refuse
-to extrapolate.
+The caller gives the idler wavenumber grid; for a run that is
+`config.gas_grid`, which covers the map's idler band.  Wavelength
+lookups interpolate linearly on the stored grid and refuse to
+extrapolate.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .errors import ValidityRangeError
 from .interferometer import nu_cm_from_lambda_nm
 from .kk import index_change_from_absorption
 from .lineshape import (DEFAULT_WING_CUTOFF_CM, LineArrays,
-                        absorption_coefficient, line_grid_step, line_strength,
-                        lorentz_hwhm, number_density)
+                        absorption_coefficient, line_strength, lorentz_hwhm,
+                        number_density)
 
 
 @dataclass(frozen=True)
@@ -62,26 +64,21 @@ class GasState:
         return cls(p_torr=0.0, t_k=t_k)
 
     @classmethod
-    def from_lines(cls, lines, p_torr, t_k, molar_mass_g, *, visible=None,
-                   nu_grid_cm=None, x_self=1.0,
+    def from_lines(cls, lines, p_torr, t_k, molar_mass_g, *, nu_grid_cm,
+                   visible=None, x_self=1.0,
                    wing_cutoff_cm=DEFAULT_WING_CUTOFF_CM,
-                   partition_ratio=1.0, baseline=None) -> "GasState":
-        """Build a causal sample from a line list.
+                   partition_ratio=1.0) -> "GasState":
+        """Build a causal sample from a line list on the grid `nu_grid_cm`.
 
-        alpha comes from the line-by-line sum; the idler index is
-        1 + baseline + KK[alpha].  `baseline` defaults to the visible
+        The caller sizes the grid (`config.gas_grid` for a run).  alpha
+        comes from the line-by-line sum; the idler index is
+        1 + baseline + KK[alpha], where the baseline is the visible
         n - 1 at this (P, T) (zero without a visible model), standing in
-        for all broadband dispersion from outside the window.  Without
-        an explicit `nu_grid_cm` the grid spans the lines plus their
-        wing cutoff at roughly an eighth of the narrowest linewidth.
+        for all broadband dispersion from outside the window.
         """
         lines = list(lines)
         if not lines:
             raise ValueError("need at least one line")
-        if nu_grid_cm is None:
-            nu_grid_cm = default_line_grid(lines, p_torr, t_k, molar_mass_g,
-                                           x_self=x_self,
-                                           wing_cutoff_cm=wing_cutoff_cm)
         nu = np.asarray(nu_grid_cm, dtype=float)
         alpha = absorption_coefficient(lines, nu, p_torr, t_k, molar_mass_g,
                                        x_self=x_self,
@@ -90,8 +87,7 @@ class GasState:
         if not np.all(np.isfinite(alpha)):
             raise ValidityRangeError("absorption overflows: " + _overflowed(
                 lines, p_torr, t_k, x_self, partition_ratio))
-        if baseline is None:
-            baseline = gas_index(visible, p_torr, t_k) - 1.0
+        baseline = gas_index(visible, p_torr, t_k) - 1.0
         index = 1.0 + index_change_from_absorption(alpha, nu, baseline=baseline)
         if not np.all(index > 0) or not np.all(np.isfinite(index)):
             raise ValidityRangeError(
@@ -140,28 +136,3 @@ def _overflowed(lines, p_torr, t_k, x_self, partition_ratio) -> str:
         return "a line strength times the density is out of range"
     return "the sum of the lines is out of range"
 
-
-# one cap for every idler grid; the FFT KK transform takes tens of ms here
-MAX_GRID_POINTS = 200001
-
-
-def uniform_grid(lo, hi, step, hint: str) -> np.ndarray:
-    """Grid from lo to hi at no more than `step`; `hint` ends the cap error.
-
-    It has at least the 3 points the KK transform needs.
-    """
-    npts = np.ceil((hi - lo) / step) + 1
-    if not npts <= MAX_GRID_POINTS:
-        raise ValueError(
-            f"grid needs {npts:.0f} points (> {MAX_GRID_POINTS}); {hint}")
-    return np.linspace(lo, hi, max(int(npts), 3))
-
-
-def default_line_grid(lines, p_torr, t_k, molar_mass_g, *, x_self=1.0,
-                      wing_cutoff_cm=DEFAULT_WING_CUTOFF_CM) -> np.ndarray:
-    """Uniform wavenumber grid resolving every line in the list."""
-    centers = [ln.nu0_cm for ln in lines]
-    return uniform_grid(
-        min(centers) - wing_cutoff_cm, max(centers) + wing_cutoff_cm,
-        line_grid_step(lines, p_torr, t_k, molar_mass_g, x_self),
-        "pass nu_grid_cm explicitly")

@@ -138,7 +138,7 @@ class MapAxes:
     """Axes of an angular-wavelength intensity map.
 
     Rows are signal wavelengths [nm], columns external angles [rad];
-    both strictly increasing.
+    both non-empty and strictly increasing.
     """
 
     wavelength_nm: np.ndarray
@@ -150,6 +150,8 @@ class MapAxes:
         if lam.ndim != 1 or ang.ndim != 1:
             raise ValueError("axes must be 1-d")
         for name, ax in (("wavelength", lam), ("angle", ang)):
+            if ax.size == 0:
+                raise ValueError(f"empty {name} axis")
             if np.any(~np.isfinite(ax)):
                 raise ValueError(f"non-finite value on the {name} axis")
             if np.any(~(np.diff(ax) > 0)):

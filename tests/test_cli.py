@@ -690,6 +690,49 @@ def test_info_rejects_nan_axis_value(tmp_path, capsys):
     assert "wavelength" in capsys.readouterr().err
 
 
+def _native_header_only(path, wavelength, angle):
+    """A .nlm map with these axes and no cells past the header."""
+    header = json.dumps({"rows": len(wavelength), "cols": len(angle),
+                         "wavelength_nm": wavelength, "angle_rad": angle,
+                         "meta": {}}).encode()
+    path.write_bytes(b"NLIMAP1\n" + struct.pack("<Q", len(header)) + header)
+
+
+@pytest.mark.parametrize("name, axis", [
+    ("no_angles.csv", "empty angle axis"),
+    ("no_rows.nlm", "empty wavelength axis"),
+    ("no_cols.nlm", "empty angle axis"),
+])
+@pytest.mark.parametrize("command", ["info", "retrieve"])
+def test_map_with_an_empty_axis_exits_1_naming_the_file(workdir, tmp_path,
+                                                        capsys, command,
+                                                        name, axis):
+    # written by hand: save_map refuses an empty axis
+    path = tmp_path / name
+    if name.endswith(".csv"):
+        path.write_text("# nlispec map 1\n# {}\nwavelength_nm\n604.0\n"
+                        "605.0\n")
+    elif name == "no_rows.nlm":
+        _native_header_only(path, [], [-1e-3, 0.0, 1e-3])
+    else:
+        _native_header_only(path, [604.0, 605.0], [])
+    args = {"info": ["info", str(path)],
+            "retrieve": ["retrieve", str(path), str(workdir / "reference.nlm"),
+                         str(workdir / "run.cfg"), "-o",
+                         str(tmp_path / "r.csv")]}[command]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and axis in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_pump_angle_at_a_nan_signal_exits_2(workdir, capsys):
+    # NaN is outside every Sellmeier validity range
+    assert main(["pump-angle", str(workdir / "run.cfg"),
+                 "--signal-nm=nan"]) == 2
+    assert "nan-nan um outside validity range" in capsys.readouterr().err
+
+
 # numeric keys of the demo config a user may mistype, as (section, key)
 _FUZZ_KEYS = tuple((section, key) for section, keys in {
     "crystal": ("cut_angle_deg",),

@@ -15,6 +15,7 @@ from nlispec.config import (
     load_run_config,
 )
 from nlispec.errors import ConfigError, ValidityRangeError
+from nlispec.lineshape import line_grid_step
 from nlispec.resources import data_path
 
 MINIMAL = """\
@@ -132,6 +133,13 @@ def test_gas_grid_covers_map(tmp_path):
     assert grid.max() >= max(lo, hi) + 29.9
     steps = np.diff(grid)
     assert np.allclose(steps, steps[0], rtol=1e-8)
+    # without grid_step_cm the step is line_grid_step, shortened just
+    # enough to divide the span
+    fine = line_grid_step(lines, cfg.pressure_torr, cfg.temperature_k,
+                          cfg.molar_mass_g_mol, cfg.self_fraction)
+    assert grid.size == math.ceil((grid[-1] - grid[0]) / fine) + 1
+    assert steps[0] == pytest.approx(fine, rel=1e-3)
+    assert steps[0] <= fine * (1 + 1e-12)
 
 
 def test_build_gas_and_vacuum(tmp_path):

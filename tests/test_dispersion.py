@@ -59,6 +59,14 @@ def test_out_of_range_raises():
         m.index(np.array([1.0, 6.0]))
 
 
+def test_nan_wavelength_is_outside_the_range():
+    m = SellmeierModel.constant(2.0, valid_um=(0.45, 5.0))
+    with pytest.raises(ValidityRangeError, match="nan-nan um outside"):
+        m.check_range(math.nan)
+    with pytest.raises(ValidityRangeError):
+        m.check_range(np.array([1.0, math.nan]))
+
+
 def test_unphysical_index_raises():
     m = SellmeierModel("sellmeier-ratio", 0.5, (), valid_um=(0.4, 2.0))
     with pytest.raises(ValidityRangeError):

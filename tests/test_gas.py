@@ -6,7 +6,7 @@ import pytest
 
 from nlispec.dispersion import GasIndexModel, gas_index
 from nlispec.errors import ValidityRangeError
-from nlispec.gas import GasState, default_line_grid
+from nlispec.gas import GasState
 from nlispec.interferometer import nu_cm_from_lambda_nm
 from nlispec.kk import index_change_from_absorption
 from nlispec.lineshape import SpectralLine, absorption_coefficient
@@ -16,6 +16,8 @@ VIS = GasIndexModel(n0=1.000449, p0_torr=760.0, t0_k=273.15)
 # resolve it
 BROAD = SpectralLine(nu0_cm=2349.0, strength=2e-19, gamma_air=95.0,
                      gamma_self=145.0, elow_cm=200.0, n_air=0.75)
+# BROAD's centre +- 100 cm^-1 at 0.05 cm^-1, finer than its line_grid_step
+GRID = np.linspace(2249.0, 2449.0, 4001)
 
 
 def test_wavelength_wavenumber_round_trip():
@@ -43,14 +45,16 @@ def test_flat_gas_without_lines():
 
 
 def test_from_lines_alpha_matches_lineshape_module():
-    gs = GasState.from_lines([BROAD], 10.5, 300.0, 44.01, visible=VIS)
+    gs = GasState.from_lines([BROAD], 10.5, 300.0, 44.01, visible=VIS,
+                             nu_grid_cm=GRID)
     direct = absorption_coefficient([BROAD], gs.idler_nu_cm, 10.5, 300.0, 44.01)
     np.testing.assert_allclose(gs.idler_alpha_cm, direct, rtol=1e-14)
     assert gs.idler_alpha_cm.max() > 0
 
 
 def test_from_lines_index_is_kk_of_alpha():
-    gs = GasState.from_lines([BROAD], 10.5, 300.0, 44.01, visible=VIS)
+    gs = GasState.from_lines([BROAD], 10.5, 300.0, 44.01, visible=VIS,
+                             nu_grid_cm=GRID)
     base = gas_index(VIS, 10.5, 300.0) - 1.0
     expected = 1.0 + index_change_from_absorption(gs.idler_alpha_cm,
                                                   gs.idler_nu_cm, baseline=base)
@@ -60,7 +64,7 @@ def test_from_lines_index_is_kk_of_alpha():
 def test_from_lines_dispersion_shape():
     # collision-dominated line: alpha is near-Lorentzian, so the index
     # change should follow the analytic dispersive companion
-    gs = GasState.from_lines([BROAD], 10.5, 300.0, 44.01, baseline=0.0,
+    gs = GasState.from_lines([BROAD], 10.5, 300.0, 44.01, nu_grid_cm=GRID,
                              wing_cutoff_cm=100.0)
     gl = (10.5 / 760.0) * (296.0 / 300.0) ** 0.75 * 145.0
     a0 = gs.idler_alpha_cm.max()
@@ -82,7 +86,7 @@ def test_idler_queries_interpolate_between_nodes():
 
 
 def test_idler_queries_refuse_extrapolation():
-    gs = GasState.from_lines([BROAD], 10.5, 300.0, 44.01)
+    gs = GasState.from_lines([BROAD], 10.5, 300.0, 44.01, nu_grid_cm=GRID)
     lo = gs.idler_nu_cm[0]
     lam_out = nu_cm_from_lambda_nm(lo - 1.0)
     with pytest.raises(ValidityRangeError):
@@ -93,7 +97,7 @@ def test_idler_queries_refuse_extrapolation():
 
 def test_baseline_defaults_to_visible_offset():
     gs = GasState.from_lines([BROAD], 10.5, 300.0, 44.01, visible=VIS,
-                             wing_cutoff_cm=50.0)
+                             nu_grid_cm=GRID, wing_cutoff_cm=50.0)
     base = gas_index(VIS, 10.5, 300.0) - 1.0
     # at the window edge the resonant contribution is small
     edge = gs.idler_index[0] - 1.0
@@ -112,23 +116,7 @@ def test_state_validation():
         GasState(p_torr=1.0, t_k=300.0, idler_nu_cm=nu,
                  idler_alpha_cm=np.zeros(11), idler_index=np.ones(5))
     with pytest.raises(ValueError):
-        GasState.from_lines([], 10.0, 300.0, 44.01)
-
-
-def test_default_grid_resolves_narrow_lines():
-    narrow = SpectralLine(2349.0, 1e-19, 0.095, 0.145, 200.0, 0.75)
-    grid = default_line_grid([narrow], 10.5, 300.0, 44.01, wing_cutoff_cm=2.0)
-    h = grid[1] - grid[0]
-    from nlispec.lineshape import doppler_hwhm
-    assert h <= doppler_hwhm(2349.0, 300.0, 44.01) / 8 * 1.0001
-    assert grid[0] < 2349.0 - 1.9 and grid[-1] > 2349.0 + 1.9
-
-
-def test_default_grid_caps_point_count():
-    narrow = SpectralLine(2349.0, 1e-19, 0.095, 0.145, 200.0, 0.75)
-    far = SpectralLine(4000.0, 1e-19, 0.095, 0.145, 200.0, 0.75)
-    with pytest.raises(ValueError, match="nu_grid_cm"):
-        default_line_grid([narrow, far], 10.5, 300.0, 44.01)
+        GasState.from_lines([], 10.0, 300.0, 44.01, nu_grid_cm=GRID)
 
 
 @pytest.mark.parametrize("edit, t_k, cause", [

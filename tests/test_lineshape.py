@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from nlispec.config import gas_grid, load_lines, load_run_config
 from nlispec.errors import LineParseError
-from nlispec.gas import default_line_grid
 from nlispec.lineshape import (
     C2_CM_K,
     LineArrays,
@@ -15,6 +14,7 @@ from nlispec.lineshape import (
     _line_windows,
     absorption_coefficient,
     doppler_hwhm,
+    line_grid_step,
     line_strength,
     load_line_csv,
     load_par_file,
@@ -394,6 +394,14 @@ def _dense_lines(seed, n_lines=2000, gamma_min=12.0):
             for c, s, g, e in zip(nu0, strength, gamma_self, elow)]
 
 
+def _line_window_grid(lines, p_torr, molar_mass_g, cutoff):
+    """The line centres +- the wing cutoff at `line_grid_step`."""
+    centres = [ln.nu0_cm for ln in lines]
+    lo, hi = min(centres) - cutoff, max(centres) + cutoff
+    step = line_grid_step(lines, p_torr, 300.0, molar_mass_g)
+    return np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1)
+
+
 def _oracle_case(case):
     """(lines, grid, P [Torr], wing cutoff) of one two-grid input."""
     cfg = load_run_config(data_path("co2_demo.cfg"))
@@ -401,13 +409,11 @@ def _oracle_case(case):
     mm = cfg.molar_mass_g_mol
     if case == "dense_band":
         lines = _dense_lines(17)
-        return (lines, default_line_grid(lines, 10.5, 300.0, mm,
-                                         wing_cutoff_cm=60.0), 10.5, 60.0)
+        return lines, _line_window_grid(lines, 10.5, mm, 60.0), 10.5, 60.0
     if case == "demo":
         return demo, gas_grid(cfg, demo), cfg.pressure_torr, 60.0
     if case == "0.3_torr":
-        return (demo, default_line_grid(demo, 0.3, 300.0, mm,
-                                        wing_cutoff_cm=60.0), 0.3, 60.0)
+        return demo, _line_window_grid(demo, 0.3, mm, 60.0), 0.3, 60.0
     if case == "760_torr":
         return demo, gas_grid(cfg, demo), 760.0, 60.0
     if case == "zero_lorentz":
