@@ -70,8 +70,6 @@ def _parser() -> argparse.ArgumentParser:
                      default="model")
     ret.add_argument("--every", type=int, default=1, metavar="N",
                      help="fit every Nth wavelength row")
-    ret.add_argument("--no-polish", action="store_true",
-                     help="skip the nonlinear refinement stage")
 
     ang = sub.add_parser("pump-angle",
                          help="solve the collinear phase-matching angle")
@@ -145,7 +143,6 @@ def _cmd_retrieve(args) -> int:
     sample_vis = gas_index(cfg.visible, cfg.pressure_torr, cfg.temperature_k)
     result = retrieve(args.sample, args.reference, geom, engine=args.engine,
                       rows=slice(None, None, args.every),
-                      polish=not args.no_polish,
                       sample_visible_index=sample_vis)
     save_result_csv(args.output, result)
     # the peak is the row whose absorption stands highest above its own

@@ -25,16 +25,17 @@ class ConfigError(NlispecError, ValueError):
 
 
 class LineParseError(NlispecError, ValueError):
-    """Unparseable line-list input; carries the record/row location."""
+    """Unparseable line-list input; names the file and record location."""
 
-    def __init__(self, message, record=None, columns=None):
+    def __init__(self, message, record=None, columns=None, path=None):
         loc = []
         if record is not None:
             loc.append(f"record {record}")
         if columns is not None:
             loc.append(f"columns {columns[0]}-{columns[1]}")
-        prefix = ", ".join(loc)
-        super().__init__(f"{prefix}: {message}" if prefix else message)
+        if loc:
+            message = f"{', '.join(loc)}: {message}"
+        super().__init__(message if path is None else f"{path}: {message}")
         self.record = record
         self.columns = columns
 

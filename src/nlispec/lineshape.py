@@ -591,13 +591,15 @@ _PAR_FIELDS = {
 _PAR_MIN_LENGTH = max(span.stop for span, _ in _PAR_FIELDS.values())
 
 
-def parse_par_record(text: str, record: int | None = None) -> SpectralLine:
-    """Parse one fixed-width transition record into a SpectralLine."""
+def parse_par_record(text: str, record: int | None = None,
+                     path=None) -> SpectralLine:
+    """Parse one fixed-width transition record into a SpectralLine;
+    `record` and `path` locate it in error messages."""
     text = text.rstrip("\r\n")
     if len(text) < _PAR_MIN_LENGTH:
         raise LineParseError(
             f"record shorter than {_PAR_MIN_LENGTH} characters ({len(text)})",
-            record=record,
+            record=record, path=path,
         )
     raw = {}
     for name, (span, convert) in _PAR_FIELDS.items():
@@ -606,11 +608,11 @@ def parse_par_record(text: str, record: int | None = None) -> SpectralLine:
         except ValueError:
             raise LineParseError(
                 f"cannot parse {name} from {text[span]!r}", record=record,
-                columns=(span.start + 1, span.stop)) from None
+                columns=(span.start + 1, span.stop), path=path) from None
     try:
         return SpectralLine(**raw)
     except ValueError as exc:
-        raise LineParseError(str(exc), record=record) from None
+        raise LineParseError(str(exc), record=record, path=path) from None
 
 
 def load_par_file(path, molecule: int | None = None,
@@ -622,7 +624,7 @@ def load_par_file(path, molecule: int | None = None,
         for i, text in enumerate(fh, start=1):
             if not text.strip():
                 continue
-            line = parse_par_record(text, record=i)
+            line = parse_par_record(text, record=i, path=path)
             if molecule is not None and line.mol_id != molecule:
                 continue
             if isotopologue is not None and line.iso_id != isotopologue:
@@ -661,10 +663,11 @@ def load_line_csv(path) -> list[SpectralLine]:
                             kwargs[c] = int(row[c])
                     out.append(SpectralLine(**kwargs))
                 except (TypeError, ValueError) as exc:
-                    raise LineParseError(str(exc),
-                                         record=reader.line_num) from None
+                    raise LineParseError(str(exc), record=reader.line_num,
+                                         path=path) from None
         except csv.Error as exc:   # a NUL byte before Python 3.11, say
-            raise LineParseError(str(exc), record=reader.line_num) from None
+            raise LineParseError(str(exc), record=reader.line_num,
+                                 path=path) from None
     if not out:
         raise LineParseError(f"no lines in {path}")
     return out

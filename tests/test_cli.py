@@ -419,6 +419,19 @@ def test_console_script_version():
     assert out.stdout.strip() == "0.1.0"
 
 
+def test_retrieve_has_no_linear_only_option(tmp_path):
+    # every table comes from the converged fit; argparse rejects the
+    # retired --no-polish before any input is read
+    out = subprocess.run([sys.executable, "-m", "nlispec.cli", "retrieve",
+                          str(tmp_path / "s.nlm"), str(tmp_path / "r.nlm"),
+                          DEMO_CFG, "-o", str(tmp_path / "t.csv"),
+                          "--no-polish"], capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "unrecognized arguments: --no-polish" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_csv_and_pgm_outputs(workdir, tmp_path):
     cfg = str(workdir / "run.cfg")
     for suffix in (".csv", ".pgm"):
@@ -544,6 +557,34 @@ def test_text_input_that_is_not_utf8_names_the_file(small_demo_config,
     assert main(["simulate", str(paths["config"]), "-o",
                  str(tmp_path / "x.nlm")]) == code
     assert f"{paths[target]}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "x.nlm").exists()
+
+
+def _spoil_record_2(lines: pathlib.Path) -> None:
+    """Make the second record of a .csv or .par line list unreadable."""
+    rows = lines.read_text().splitlines(keepends=True)
+    if lines.suffix == ".csv":   # record 1 is the header row
+        cells = rows[2].split(",")
+        cells[1] = "-1e-19"
+        rows[2] = ",".join(cells)
+    else:   # the strength field
+        rows[1] = rows[1][:15] + "x" * 10 + rows[1][25:]
+    lines.write_text("".join(rows))
+
+
+@pytest.mark.parametrize("lines, where", [
+    ("lines.csv", "record 3: negative line strength -1e-19"),
+    ("lines.par", "record 2, columns 16-25: cannot parse strength from "
+                  "'xxxxxxxxxx'"),
+], ids=["csv", "par"])
+def test_bad_line_list_record_names_the_file(small_demo_config, tmp_path,
+                                             capsys, lines, where):
+    # a run reads two data files, so a record's error names its list
+    paths = _text_inputs(small_demo_config, tmp_path, lines)
+    _spoil_record_2(paths["lines"])
+    assert main(["simulate", str(paths["config"]), "-o",
+                 str(tmp_path / "x.nlm")]) == 1
+    assert capsys.readouterr().err == f"nlispec: {paths['lines']}: {where}\n"
     assert not (tmp_path / "x.nlm").exists()
 
 
@@ -841,15 +882,16 @@ def test_retrieve_narrow_map_exits_0_with_nan_rows(small_demo_config,
     # on a symmetric strip of at most four pixels the fringe template
     # takes at most two distinct values, so every row's 3 x 3 Gram
     # matrix is singular: each row is NaN, and the run still ends in a
-    # table
+    # table; the fitter's pass 0 alone (polish=False) meets the same
+    # singular matrices
     cfg, *maps = _narrow_pair(small_demo_config, tmp_path, pixels)
-    for options in ((), ("--no-polish",)):
-        out = tmp_path / "result.csv"
-        assert main(["retrieve", *maps, cfg, "-o", str(out),
-                     *options]) == 0
-        assert capsys.readouterr().out.endswith(
-            f"retrieved 8 rows to {out} (no finite rows)\n")
-        res = load_result_csv(out)
+    out = tmp_path / "result.csv"
+    assert main(["retrieve", *maps, cfg, "-o", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(
+        f"retrieved 8 rows to {out} (no finite rows)\n")
+    linear = retrieve(*maps, build_geometry(load_run_config(cfg)),
+                      polish=False)
+    for res in (load_result_csv(out), linear):
         np.testing.assert_array_equal(res.rows, np.arange(8))
         for name in ("visibility", "alpha_cm", "alpha_sigma_cm",
                      "phase_shift_rad", "index_offset", "index_offset_sigma"):
@@ -1074,30 +1116,6 @@ def test_full_demo_index_has_no_fringe_wrap_at_high_pressure(p_torr):
     err = np.abs(n_vis + res.index_offset
                  - gas.idler_index_at(res.idler_wavelength_nm))
     assert finite.any() and err[finite].max() <= 1e-10
-
-
-def test_retrieve_full_demo_no_polish(demo_dir, tmp_path, capsys):
-    # the linear stage alone: off-axis steepening biases it slightly,
-    # and it reports no sigmas
-    out = tmp_path / "linear.csv"
-    assert main(["retrieve", str(demo_dir / "s0.nlm"),
-                 str(demo_dir / "r0.nlm"), DEMO_CFG, "-o", str(out),
-                 "--no-polish"]) == 0
-    summary = capsys.readouterr().out
-    assert re.search(r"retrieved 512 rows to .* \(peak absorption \S+ "
-                     r"\+/- nan cm\^-1 at row \d+\)", summary), summary
-    res = load_result_csv(out)
-    assert res.meta["polish"] is False
-    assert np.isnan(res.alpha_sigma_cm).all()
-    assert np.isnan(res.index_offset_sigma).all()
-    cfg = load_run_config(DEMO_CFG)
-    truth = build_gas(cfg)
-    n_vis = gas_index(cfg.visible, cfg.pressure_torr, cfg.temperature_k)
-    lam_i = res.idler_wavelength_nm
-    assert np.abs(res.alpha_cm
-                  - truth.idler_absorption_at(lam_i)).max() <= 5e-5
-    assert np.abs(n_vis + res.index_offset
-                  - truth.idler_index_at(lam_i)).max() <= 5e-8
 
 
 def test_retrieve_full_demo_extrema_engine(demo_dir, tmp_path):
