@@ -42,6 +42,7 @@ from .resources import data_path
 
 if TYPE_CHECKING:
     from .gas import GasState
+    from .lineshape import LineArrays
 
 
 @dataclass(frozen=True)
@@ -287,7 +288,8 @@ def build_geometry(cfg: RunConfig) -> InterferometerGeometry:
     )
 
 
-def load_lines(cfg: RunConfig):
+def load_lines(cfg: RunConfig) -> LineArrays:
+    """The run's line list, read into arrays from `.par` or CSV."""
     from .lineshape import load_line_csv, load_par_file
 
     if cfg.lines_path.endswith(".par"):
@@ -302,7 +304,7 @@ _COARSEST_STEP = 16
 _MAX_GRID_POINTS = 200001
 
 
-def gas_grid(cfg: RunConfig, lines) -> np.ndarray:
+def gas_grid(cfg: RunConfig, lines: LineArrays) -> np.ndarray:
     """Uniform idler wavenumber grid covering the map plus padding.
 
     Its step is `[gas].grid_step_cm`, or `line_grid_step` where that is

@@ -68,7 +68,8 @@ class GasState:
                    visible=None, x_self=1.0,
                    wing_cutoff_cm=DEFAULT_WING_CUTOFF_CM,
                    partition_ratio=1.0) -> "GasState":
-        """Build a causal sample from a line list on the grid `nu_grid_cm`.
+        """Build a causal sample from a line list (a `LineArrays` or an
+        iterable of `SpectralLine`s) on the grid `nu_grid_cm`.
 
         The caller sizes the grid (`config.gas_grid` for a run).  alpha
         comes from the line-by-line sum; the idler index is
@@ -76,8 +77,8 @@ class GasState:
         n - 1 at this (P, T) (zero without a visible model), standing in
         for all broadband dispersion from outside the window.
         """
-        lines = list(lines)
-        if not lines:
+        lines = LineArrays.of(lines)
+        if not len(lines):
             raise ValueError("need at least one line")
         nu = np.asarray(nu_grid_cm, dtype=float)
         alpha = absorption_coefficient(lines, nu, p_torr, t_k, molar_mass_g,
@@ -125,14 +126,14 @@ class GasState:
                                   self.visible_index())
 
 
-def _overflowed(lines, p_torr, t_k, x_self, partition_ratio) -> str:
+def _overflowed(lines: LineArrays, p_torr, t_k, x_self,
+                partition_ratio) -> str:
     """Which quantity of a line sum whose absorption is not finite left
     floating-point range."""
-    fields = LineArrays.of(lines)
-    if not np.all(np.isfinite(lorentz_hwhm(fields, p_torr, t_k, x_self))):
+    if not np.all(np.isfinite(lorentz_hwhm(lines, p_torr, t_k, x_self))):
         return "a Lorentz width is out of range"
     if not np.all(np.isfinite(number_density(p_torr, t_k)
-                              * line_strength(fields, t_k, partition_ratio))):
+                              * line_strength(lines, t_k, partition_ratio))):
         return "a line strength times the density is out of range"
     return "the sum of the lines is out of range"
 

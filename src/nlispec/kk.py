@@ -23,18 +23,21 @@ On the grid nu_j = nu_0 + j h every odd-offset weight splits exactly:
         = [1 / ((j - i) h) - 1 / (2 nu_0 + (i + j) h)] / (2 nu_i)
 
 The first term depends only on j - i (a Toeplitz sum), the second only
-on i + j (a Hankel sum).  Each sum is one zero-padded real-FFT
-convolution of alpha with a parity-masked kernel, so the transform
-costs O(N log N) time and O(N) memory.  The factored form also avoids
-the cancellation in forming nu_j^2 - nu_i^2 directly.
+on i + j (a Hankel sum).  The factored form also avoids the cancellation
+in forming nu_j^2 - nu_i^2 directly.
 
-The FFT length is the smallest 2^a 3^b 5^c >= 2N - 1 (`fft_length`),
-not the next power of two, which can be almost twice as long.  Each
-kernel is built by strided slices straight into an array of that
-length, transformed and dropped before the next is built, and the
-spectra are multiplied and summed in place: at N = 20,069 (dense_band)
-the transform peaks at 1.24 MiB of `tracemalloc`, about four arrays
-of the FFT length.
+Even targets take only odd sources and odd targets only even ones, so
+each parity class is its own pair of sums over about N/2 sources: one
+zero-padded real-FFT convolution of the sources with the Toeplitz
+kernel, one of the reversed sources with the Hankel kernel, whose
+spectrum both classes share.  Each convolution spans N - 1 outputs, so
+the FFT length is the smallest 2^a 3^b 5^c >= N - 1 (`fft_length`),
+half the length one convolution over the whole grid would need, and the
+transform costs O(N log N) time and O(N) memory.  At most four arrays of
+that length are alive at once: at N = 20,069 (dense_band) the transform
+peaks at 0.62 MiB of `tracemalloc`, and at the 200,001-point grid cap
+at 6.1 MiB.  `index_change_weights` writes the same rule out densely
+from the factored form, not from the FFT kernels.
 """
 
 from __future__ import annotations
@@ -75,41 +78,42 @@ def fft_length(n: int) -> int:
     return best
 
 
-def _toeplitz_kernel(n: int, h: float, size: int) -> np.ndarray:
-    """1 / (d h) at odd d = j - i, stored at d + n - 1 of `size` zeros."""
+def _toeplitz_kernel(c: int, count: int, h: float, size: int) -> np.ndarray:
+    """1 / ((c - 2t) h) at t < `count` of `size` zeros; `c` is odd."""
     kernel = np.zeros(size)
-    inv = np.arange(1, n, 2, dtype=float)   # odd d > 0
+    inv = np.arange(c, c - 2 * count, -2, dtype=float)
     inv *= h
-    np.divide(1.0, inv, out=inv)
-    kernel[n:2 * n - 1:2] = inv
-    np.negative(inv, out=kernel[n - 2::-2])   # the kernel is odd in d
+    np.divide(1.0, inv, out=kernel[:count])
     return kernel
 
 
-def _hankel_kernel(nu0: float, n: int, h: float, size: int) -> np.ndarray:
-    """1 / (2 nu_0 + s h) at odd s = i + j, stored at s of `size` zeros."""
+def _hankel_kernel(nu0: float, count: int, h: float, size: int) -> np.ndarray:
+    """1 / (2 nu_0 + (2t + 1) h) at t < `count` of `size` zeros."""
     kernel = np.zeros(size)
-    inv = np.arange(1, 2 * n - 1, 2, dtype=float)   # odd s
+    inv = np.arange(1, 2 * count, 2, dtype=float)
     inv *= h
     inv += 2.0 * nu0
-    np.divide(1.0, inv, out=kernel[1:2 * n - 1:2])
+    np.divide(1.0, inv, out=kernel[:count])
     return kernel
 
 
 def index_change_weights(nu_grid_cm) -> np.ndarray:
     """Matrix W with (n - 1 - baseline) = W @ alpha on the shared grid.
 
-    Dense O(N^2) form of the same factored rule, for linear uncertainty
-    propagation: var(dn_i) = sum_j W_ij^2 var(alpha_j) for independent
-    alpha errors.
+    The rule written out densely in its factored form, O(N^2), for
+    linear uncertainty propagation: var(dn_i) = sum_j W_ij^2 var(alpha_j)
+    for independent alpha errors.  It is also the test oracle of the
+    FFT path.
     """
     nu, h = checked_uniform_grid(nu_grid_cm)
-    n = nu.size
-    toeplitz = _toeplitz_kernel(n, h, 2 * n - 1)
-    hankel = _hankel_kernel(nu[0], n, h, 2 * n - 1)
-    idx = np.arange(n)
-    w = (toeplitz[idx[None, :] - idx[:, None] + n - 1]
-         - hankel[idx[:, None] + idx[None, :]])
+    idx = np.arange(nu.size)
+    offset = idx[None, :] - idx[:, None]          # j - i
+    opposite = offset % 2 == 1
+    w = np.divide(1.0, offset * h, out=np.zeros(offset.shape),
+                  where=opposite)
+    w -= np.where(opposite,
+                  1.0 / (2.0 * nu[0] + (idx[None, :] + idx[:, None]) * h),
+                  0.0)
     return w * (_PREFACTOR * h / nu)[:, None]
 
 
@@ -122,19 +126,40 @@ def index_change_from_absorption(alpha_cm, nu_grid_cm, baseline: float = 0.0):
     if not np.all(np.isfinite(alpha)):
         raise ValueError("absorption must be finite")
     n = nu.size
-    # A circular length >= 2N - 1 keeps outputs N-1 .. 2N-2 free of
-    # wrap-around.  There alpha * toeplitz holds minus the Toeplitz sum
-    # (the kernel is odd) and reversed alpha * hankel the Hankel sum.
-    # Each kernel lives only while it is transformed, and the spectra
-    # are multiplied and summed in place.
-    size = fft_length(2 * n - 1)
+    # Targets of parity a take the sources of parity 1 - a, whose
+    # convolutions span N - 1 entries (see `_opposite_parity_sum`).
+    size = fft_length(n - 1)
+    hankel = np.fft.rfft(_hankel_kernel(nu[0], n - 1, h, size))
+    out = np.empty(n)
+    for a in (0, 1):
+        out[a::2] = _opposite_parity_sum(alpha[1 - a::2], a, (n - a + 1) // 2,
+                                         h, hankel, size)
+    out *= _PREFACTOR * h / nu
+    out += baseline
+    return out
+
+
+def _opposite_parity_sum(source, a: int, count: int, h: float, hankel,
+                         size: int) -> np.ndarray:
+    """Sum over j of alpha_j [1/((j - i) h) - 1/(2 nu_0 + (i + j) h)] at
+    the `count` targets i = 2p + a, from the sources j = 2q + 1 - a.
+
+    There j - i = 1 - 2a - 2(p - q) and i + j = 2(p + q) + 1.  With m
+    sources beta the Toeplitz sum is beta * K at p + m - 1,
+    K[t] = 1 / ((2m - 1 - 2a - 2t) h), and the Hankel sum reversed
+    beta * G at the same index, G[t] = 1 / (2 nu_0 + (2t + 1) h), whose
+    spectrum `hankel` both classes share.  Both kernels span N - 1
+    entries, so a circular length `size` >= N - 1 keeps those outputs
+    free of wrap-around.  The Toeplitz kernel is transformed before the
+    sources are, so with the caller's output and `hankel` at most four
+    arrays of `size` are alive at once.
+    """
+    m = source.size
     rfft = np.fft.rfft
-    conv = rfft(alpha, size)
-    conv *= rfft(_toeplitz_kernel(n, h, size))
-    hankel = rfft(alpha[::-1], size)
-    hankel *= rfft(_hankel_kernel(nu[0], n, h, size))
-    conv += hankel
-    del hankel
-    conv = np.fft.irfft(conv, size)[n - 1:2 * n - 1]
-    conv *= _PREFACTOR * h / nu
-    return baseline - conv
+    conv = rfft(_toeplitz_kernel(2 * m - 1 - 2 * a, m + count - 1, h, size))
+    conv *= rfft(source, size)
+    reflected = rfft(source[::-1], size)
+    reflected *= hankel
+    conv -= reflected
+    del reflected
+    return np.fft.irfft(conv, size)[m - 1:m - 1 + count]

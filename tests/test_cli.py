@@ -274,7 +274,8 @@ def test_exit_code_empty_par_selection(tmp_path, records, selection):
                           str(cfg), "-o", str(tmp_path / "x.nlm")],
                          capture_output=True, text=True)
     assert out.returncode == 1, out.stderr
-    assert "no lines in" in out.stderr and "lines.par" in out.stderr
+    assert out.stderr.startswith(
+        f"nlispec: {tmp_path / 'lines.par'}: no lines with molecule_id ")
     assert "Traceback" not in out.stderr
     assert not (tmp_path / "x.nlm").exists()
 

@@ -118,10 +118,11 @@ def test_fft_length_is_the_smallest_5_smooth_length():
         assert fft_length(n) == min(m for m in lengths if m >= n), n
 
 
-# 2N - 1 = 2025 = 3^4 5^2 is its own FFT length; 2023 = 7 17^2 pads to 2025
-@pytest.mark.parametrize("n", [1013, 1012], ids=["5-smooth", "padded"])
+# each parity class convolves over N - 1 points: 1000 = 2^3 5^3 is its
+# own FFT length, 999 = 3^3 37 pads to 1000
+@pytest.mark.parametrize("n", [1001, 1000], ids=["5-smooth", "padded"])
 def test_fft_path_equals_the_dense_oracle(n):
-    assert fft_length(2 * n - 1) == 2025
+    assert fft_length(n - 1) == 1000
     nu = np.linspace(2340.0, 2358.0, n)
     alpha = lorentzian_alpha(nu)
     dn = index_change_from_absorption(alpha, nu)
@@ -143,6 +144,23 @@ def test_transform_peak_memory_is_a_few_grids():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 2**20
+
+
+def test_transform_runs_at_half_length():
+    # one parity class at a time, at FFT length fft_length(N - 1) = 20250
+    # for dense_band's grid: four such arrays are 0.62 MiB, where one
+    # convolution over the whole grid (length 40500) held 1.24 MiB
+    nu = np.linspace(2180.0, 2520.0, 20069)
+    alpha = lorentzian_alpha(nu)
+    index_change_from_absorption(alpha, nu)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        index_change_from_absorption(alpha, nu)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.8 * 2**20
 
 
 def test_matches_extended_precision_direct_sum():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -588,13 +589,181 @@ def test_csv_bad_value_reports_row(tmp_path):
 
 
 def test_csv_reader_error_is_a_line_parse_error(tmp_path):
-    # an unclosed quote runs the field past the csv module's size limit;
-    # before Python 3.11 a NUL byte raised the same csv.Error
+    # an unclosed quote runs one 200,000-character field to the end of
+    # the file: a record error that names the file
     p = tmp_path / "bad.csv"
     p.write_text("nu0_cm,strength,gamma_air,gamma_self,elow_cm,n_air\n"
                  '"' + "1" * 200_000 + "\n", encoding="utf-8")
-    with pytest.raises(LineParseError, match="field limit"):
+    with pytest.raises(LineParseError, match=f"^{re.escape(str(p))}: "
+                                             "record 2: "):
         load_line_csv(p)
+
+
+CSV_HEADER = "nu0_cm,strength,gamma_air,gamma_self,elow_cm,n_air,mol_id,iso_id"
+CSV_RECORD = "2349.5,3.5e-19,0.0758,0.0942,1234.5678,0.75,2,1"
+
+
+def _rows_by_float(path):
+    """SpectralLines of a CSV list parsed row by row with float()."""
+    with open(path, encoding="utf-8") as fh:
+        next(fh)
+        return [SpectralLine(*map(float, row[:6]), *map(int, row[6:]))
+                for row in (text.strip().split(",") for text in fh)]
+
+
+def _assert_behaves_as(loaded, want):
+    assert isinstance(loaded, LineArrays)
+    assert len(loaded) == len(want)
+    assert list(loaded) == want
+    assert [loaded[i] for i in range(len(want))] == want
+    assert loaded[-1] == want[-1]
+    first, *rest = loaded
+    assert first == want[0] and len(rest) == len(want) - 1
+    assert all(type(ln.mol_id) is int and type(ln.nu0_cm) is float
+               for ln in loaded)
+
+
+def test_loaded_csv_behaves_as_its_lines():
+    path = data_path("co2_synthetic_lines.csv")
+    _assert_behaves_as(load_line_csv(path), _rows_by_float(path))
+
+
+def test_loaded_dense_list_behaves_as_its_lines(tmp_path):
+    lines = _dense_lines(1)
+    path = tmp_path / "dense.csv"
+    save_line_csv(path, lines)
+    loaded = load_line_csv(path)
+    _assert_behaves_as(loaded, _rows_by_float(path))
+    # the arrays of the generated lines give back the lines themselves
+    _assert_behaves_as(LineArrays.of(lines), lines)
+    assert LineArrays.of(loaded) is loaded
+
+
+def test_loaded_par_file_behaves_as_its_records(tmp_path):
+    records = [make_par_record(nu=2349.917138 + k, elow=100.0 * k,
+                               iso="12"[k % 2]) for k in range(5)]
+    path = tmp_path / "lines.par"
+    path.write_text("\n".join(records) + "\n", encoding="utf-8")
+    _assert_behaves_as(load_par_file(path),
+                       [parse_par_record(r) for r in records])
+    _assert_behaves_as(load_par_file(path, molecule=2, isotopologue=2),
+                       [parse_par_record(r) for r in records[1::2]])
+
+
+def test_save_line_csv_rewrites_the_shipped_list_byte_for_byte(tmp_path):
+    shipped = data_path("co2_synthetic_lines.csv")
+    lines = load_line_csv(shipped)
+    with open(shipped, "rb") as fh:
+        want = fh.read()
+    for i, given in enumerate((lines, list(lines))):
+        save_line_csv(tmp_path / f"{i}.csv", given)
+        assert (tmp_path / f"{i}.csv").read_bytes() == want
+
+
+def test_csv_load_peak_memory_is_a_table_of_the_lines(tmp_path):
+    # 20,000 lines as one float table are 1.3 MB; one SpectralLine per
+    # line peaked at 5.7 MiB
+    with open(data_path("co2_synthetic_lines.csv"), encoding="utf-8") as fh:
+        rows = [text.strip().split(",") for text in fh][1:]
+    path = tmp_path / "lines.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for k in range(20_000):
+            row = rows[k % len(rows)]
+            fh.write(",".join([repr(float(row[0]) + 1e-3 * k), *row[1:]])
+                     + "\n")
+    load_line_csv(path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lines = load_line_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(lines) == 20_000
+    assert peak < 3 * 2**20
+
+
+@pytest.mark.parametrize("text, ids", [
+    (f"{CSV_HEADER}\n2349.5,3.5e-19,0.0758,0.0942,1234.5678,0.75,,\n",
+     (0, 0)),
+    (f'{CSV_HEADER}\n"2349.5","3.5e-19",0.0758,0.0942,1234.5678,0.75,"2",1\n',
+     (2, 1)),
+    (f"{CSV_HEADER}\r\n{CSV_RECORD}\r\n", (2, 1)),
+    (f"{CSV_HEADER}\n\n{CSV_RECORD}\n\n", (2, 1)),
+    (f"{CSV_HEADER}\n2349.5,3.5e-19,0.0758,0.0942,1234.5678,0.75\n", (0, 0)),
+    (f"{CSV_HEADER}\n{CSV_RECORD},extra\n", (2, 1)),
+], ids=["blank_ids", "quoted", "crlf", "blank_lines", "row_without_ids",
+        "extra_cell"])
+def test_csv_layouts_that_load(tmp_path, text, ids):
+    path = tmp_path / "lines.csv"
+    path.write_bytes(text.encode())
+    (line,) = load_line_csv(path)
+    assert line == SpectralLine(2349.5, 3.5e-19, 0.0758, 0.0942, 1234.5678,
+                                0.75, *ids)
+
+
+@pytest.mark.parametrize("record, reason", [
+    ("2349.5,-3.5e-19,0.0758,0.0942,1234.5678,0.75,2,1",
+     "negative line strength"),
+    ("2349.5,nan,0.0758,0.0942,1234.5678,0.75,2,1", "negative line strength"),
+    ("2349.5,3.5e-19,0.0758,0.0942,1234.5678,inf,2,1",
+     "non-finite width exponent"),
+    ("2349.5,3.5e-19,abc,0.0942,1234.5678,0.75,2,1", "could not convert"),
+    ("2349.5,3.5e-19,0.0758", "short row"),
+    ("2349.5,3.5e-19#,0.0758,0.0942,1234.5678,0.75,2,1", "could not convert"),
+    ("2349.5,3.5e-19,0.0758,0.0942,1234.5678,0.75,2.5,1",
+     "mol_id '2.5' is not an integer id"),
+    ("2349.5,3.5e-19,0.0758,0.0942,1234.5678,0.75,2,1e300",
+     "iso_id '1e300' is not an integer id"),
+    ("   ", "short row"),
+], ids=["negative_strength", "nan", "infinite_exponent", "letters", "short_row",
+        "hash", "fractional_id", "huge_id", "blanks_only"])
+def test_csv_bad_record_names_file_and_record(tmp_path, record, reason):
+    # records 2 and 4 are good, 3 is empty; numpy counts neither the
+    # header nor the empty line, the error counts file lines
+    path = tmp_path / "lines.csv"
+    path.write_text(f"{CSV_HEADER}\n{CSV_RECORD}\n\n{CSV_RECORD}\n{record}\n"
+                    f"{CSV_RECORD}\n", encoding="utf-8")
+    with pytest.raises(LineParseError,
+                       match=f"^{re.escape(str(path))}: record 5: {reason}"):
+        load_line_csv(path)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("nu0_cm,strength,gamma_air,gamma_self,elow_cm\n1,1,1,1,1\n",
+     r"missing columns \['n_air'\]"),
+    (f"{CSV_HEADER},width\n{CSV_RECORD},1\n", r"unknown columns \['width'\]"),
+    (f"{CSV_HEADER}\n", "no lines"),
+    (f"{CSV_HEADER}\n\n\n", "no lines"),
+], ids=["missing", "unknown", "no_body", "empty_lines_only"])
+def test_csv_list_errors_lead_with_the_file(tmp_path, text, reason):
+    path = tmp_path / "lines.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(LineParseError,
+                       match=f"^{re.escape(str(path))}: {reason}$"):
+        load_line_csv(path)
+
+
+def test_par_selection_error_leads_with_the_file(tmp_path):
+    path = tmp_path / "lines.par"
+    path.write_text(make_par_record() + "\n", encoding="utf-8")
+    with pytest.raises(LineParseError,
+                       match=f"^{re.escape(str(path))}: no lines with "
+                             "molecule_id 7, isotopologue_id None$"):
+        load_par_file(path, molecule=7)
+
+
+def test_par_bad_record_of_another_molecule_still_raises(tmp_path):
+    # every record is checked, kept or not
+    path = tmp_path / "lines.par"
+    bad = make_par_record(mol=7).replace(" 3.553E-19", "-3.553E-19")
+    path.write_text(make_par_record() + "\n\n" + bad + "\n",
+                    encoding="utf-8")
+    with pytest.raises(LineParseError,
+                       match=f"^{re.escape(str(path))}: record 3: negative "
+                             "line strength"):
+        load_par_file(path, molecule=2)
 
 
 def test_spectral_line_validation():
