@@ -36,7 +36,7 @@ from .interferometer import (
     row_blocks,
     with_gaussian_noise,
 )
-from .mapio import open_map, save_map_blocks
+from .mapio import _format_for, open_map, save_map_blocks
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -93,6 +93,7 @@ def _cmd_simulate(args) -> int:
         broken = None if value is None else _nonnegative(value)
         if broken:
             raise ConfigError(f"{broken}, got {value}", key=option)
+    _format_for(args.output)   # an unsupported suffix fails before the gas
     cfg = load_run_config(args.config)
     geom = build_geometry(cfg)
     axes = build_axes(cfg)
@@ -136,10 +137,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_retrieve(args) -> int:
     from .retrieval import retrieve, save_result_csv
 
+    if args.every < 1:
+        raise ConfigError("must be at least 1", key="--every")
     cfg = load_run_config(args.config)
     geom = build_geometry(cfg)
-    if args.every < 1:
-        raise ConfigError("--every must be at least 1", key="--every")
     sample_vis = gas_index(cfg.visible, cfg.pressure_torr, cfg.temperature_k)
     result = retrieve(args.sample, args.reference, geom, engine=args.engine,
                       rows=slice(None, None, args.every),

@@ -24,13 +24,15 @@ external detection angle, so refraction at every interface is implied.
 Wavelengths are vacuum values tied by 1/lambda_p = 1/lambda_s +
 1/lambda_i.
 
-The fit template of `retrieval` is this pattern with the idler at the
-visible-band index n_vis of the gap: `fringe_template` gives the parts
-a sample map and its evacuated reference share, `gap_mismatch` the gap
-term that differs.  Against it a row's phase moves by d m, m the
-off-axis steepening 1/sqrt(1 - (q / k_i)^2).  One convention ties the
-gap terms, which `gap_response` forms from one lookup of the gas, to
-their inverses, with V = tau_sample / tau_reference and
+The fit templates of `retrieval` are this pattern with the idler at
+the visible-band index n_vis of the gap: `fringe_template` gives the
+phases of a sample map and of its evacuated reference (n_vis = 1), and
+the envelope and off-axis steepening m = 1/sqrt(1 - (q / k_i)^2) they
+share.  Against its template a row's phase moves by d m.  One
+convention ties the gap terms, which `gap_response` forms from two
+lookups of the gas (`idler_index_at` and `idler_absorption_at`, each
+converting lambda_i to nu, range-checking and interpolating), to their
+inverses, with V = tau_sample / tau_reference and
 dphi = d_sample - d_reference:
 
     tau = exp(-alpha_i L_m),                so alpha_i = -ln(V) / L_m;
@@ -63,6 +65,7 @@ if TYPE_CHECKING:   # the map retrieval path never compiles the gas model
     from .gas import GasState
 
 NM_PER_CM = 1.0e7
+REFERENCE_VISIBLE_INDEX = 1.0   # the reference gap is evacuated
 # Wavelength rows that every map-sized stage (rendering, noise, map
 # and text output, fitting) handles at once: each stage's temporaries
 # are one block of rows, not a whole map.
@@ -229,10 +232,11 @@ def gap_mismatch(geom: InterferometerGeometry, visible_index, idler_index,
 
 def gap_response(geom: InterferometerGeometry, gas: GasState, lambda_s_nm,
                  theta_rad) -> tuple[np.ndarray, np.ndarray]:
-    """(delta_m, tau) of the gas-filled gap from one idler lookup per row:
-    delta_m [rad] per pixel, shape (n_wavelength, n_angle), and the
-    fringe-amplitude transmission tau = exp(-alpha_i L_m) per row,
-    shape (n_wavelength, 1)."""
+    """(delta_m, tau) of the gas-filled gap from the gas's idler index
+    and absorption per row (two lookups, each converting lambda_i to
+    nu, range-checking and interpolating): delta_m [rad] per pixel,
+    shape (n_wavelength, n_angle), and the fringe-amplitude transmission
+    tau = exp(-alpha_i L_m) per row, shape (n_wavelength, 1)."""
     lam_s = np.atleast_1d(np.asarray(lambda_s_nm, dtype=float))
     lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lam_s)
     delta_m = gap_mismatch(geom, gas.visible_index(),
@@ -281,13 +285,20 @@ def _envelope(delta):
     return np.sinc(np.asarray(delta) / (2.0 * math.pi)) ** 2
 
 
-def fringe_template(geom: InterferometerGeometry, lambda_s_nm, theta_rad):
-    """(delta, sinc^2(delta / 2), m) per row: the template parts that a
-    sample map and its reference share (m for an idler at index 1)."""
+def fringe_template(geom: InterferometerGeometry, lambda_s_nm, theta_rad,
+                    sample_visible_index):
+    """(phase_sample, phase_reference, sinc^2(delta / 2), m) per row: the
+    fit templates of a sample map, its gap at `sample_visible_index`,
+    and of its evacuated reference, which share the envelope and m (m
+    for an idler at index 1)."""
     delta = crystal_phase_mismatch(geom, lambda_s_nm, theta_rad)
+    phase_s, phase_r = (
+        gap_mismatch(geom, n, n, lambda_s_nm, theta_rad) + delta
+        for n in (sample_visible_index, REFERENCE_VISIBLE_INDEX))
     lam_i = idler_wavelength_nm(geom.pump_wavelength_nm, lambda_s_nm)
     q_over_ki = np.sin(theta_rad)[None, :] * (lam_i / lambda_s_nm)[:, None]
-    return delta, _envelope(delta), 1.0 / np.sqrt(1.0 - q_over_ki**2)
+    return (phase_s, phase_r, _envelope(delta),
+            1.0 / np.sqrt(1.0 - q_over_ki**2))
 
 
 def interference_intensity(delta, delta_m, tau) -> np.ndarray:

@@ -11,9 +11,9 @@ are processed row by row, i.e. one signal wavelength at a time:
      keeps beside the gap terms.
 
 Two per-row estimators are available.  The model engine fits each row
-to the known vacuum fringe pattern A E (1 + tau cos(phi + d m)), whose
-phase phi, sinc^2 envelope E and off-axis steepening m of the phase
-shift come from `interferometer`.  Once d is fixed the model is
+to its map's fringe template A E (1 + tau cos(phi + d m)), whose phase
+phi, sinc^2 envelope E and off-axis steepening m of the phase shift
+come from `interferometer.fringe_template`.  Once d is fixed the model is
 linear in A and A tau, so the fit is repeated linear projections of a
 block of rows (separable least squares, Golub & Pereyra 1973).  Pass 0
 projects onto {E, E cos phi, E sin phi}: with coefficients (a0, ac, as)
@@ -41,10 +41,9 @@ while reading the rest; neither raises for a bad row.
 
 `retrieve` streams the two maps together: it opens both, compares
 their axes before it fits anything, and then runs one loop over blocks
-of rows that reads the block's rows of both maps and fits both.  The
-template parts the two maps share (`fringe_template`) are computed
-once per block, and each map adds only its own gap term at its
-visible-band index.  No whole map is held.
+of rows that reads the block's rows of both maps and fits both, each
+against its own template phase from one `fringe_template` call per
+block.  No whole map is held.
 
 Because both rows of a pair are fitted identically, estimator bias is
 common mode: it divides out of V and subtracts out of dphi.
@@ -60,10 +59,10 @@ import numpy as np
 
 from .errors import AxisMismatchError, MapFormatError
 from .interferometer import (
+    REFERENCE_VISIBLE_INDEX,
     InterferometerGeometry,
     absorption_from_visibility,
     fringe_template,
-    gap_mismatch,
     idler_wavelength_nm,
     index_offset_from_phase,
     nu_cm_from_lambda_nm,
@@ -341,18 +340,6 @@ def _row_indices(rows, n_rows: int) -> np.ndarray:
     return row_idx
 
 
-def _model_pattern(geom: InterferometerGeometry, lambda_s_nm, theta_rad,
-                   visible_index: float = 1.0):
-    """Template phase, envelope and steepening per row, all three waves
-    at the known visible-band index of the medium in the gap, so the
-    fitted phase measures the idler index offset from that baseline."""
-    delta, envelope, steepening = fringe_template(geom, lambda_s_nm,
-                                                  theta_rad)
-    return (delta + gap_mismatch(geom, visible_index, visible_index,
-                                 lambda_s_nm, theta_rad),
-            envelope, steepening)
-
-
 def retrieve(sample, reference, geom: InterferometerGeometry, *,
              engine: str = "model", rows=None, polish: bool = True,
              sample_visible_index: float = 1.0) -> RetrievalResult:
@@ -398,14 +385,9 @@ def retrieve(sample, reference, geom: InterferometerGeometry, *,
                 for k, y in enumerate(pair):
                     est[k, :, blk] = fit_rows_extrema(y)
                 continue
-            delta, envelope, steepening = fringe_template(
-                geom, lam_fit[blk], theta)
-            # the reference gap is evacuated: visible index 1
-            for k, (y, visible) in enumerate(zip(
-                    pair, (sample_visible_index, 1.0))):
-                phase = gap_mismatch(geom, visible, visible, lam_fit[blk],
-                                     theta)
-                phase += delta
+            *phases, envelope, steepening = fringe_template(
+                geom, lam_fit[blk], theta, sample_visible_index)
+            for k, (y, phase) in enumerate(zip(pair, phases)):
                 est[k, :, blk] = fit_rows_model(y, envelope, phase,
                                                 steepening, polish=polish)
         s_map.read_to_end()
@@ -425,7 +407,7 @@ def retrieve(sample, reference, geom: InterferometerGeometry, *,
     meta = {"engine": engine, "polish": bool(polish),
             "gap_length_cm": geom.gap_length_cm,
             "sample_visible_index": sample_visible_index,
-            "reference_visible_index": 1.0,
+            "reference_visible_index": REFERENCE_VISIBLE_INDEX,
             "sample_meta": s_map.meta, "reference_meta": r_map.meta}
     return RetrievalResult(
         wavelength_nm=lam_s, idler_wavelength_nm=lam_i,

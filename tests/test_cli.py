@@ -21,11 +21,11 @@ from nlispec.config import (_KEYS, build_axes, build_gas, build_geometry,
                             build_vacuum, load_run_config)
 from nlispec.dispersion import gas_index
 from nlispec.errors import MapFormatError
-from nlispec.interferometer import MapAxes, simulate_map
+from nlispec.interferometer import MapAxes, fringe_template, simulate_map
 from nlispec.lineshape import load_line_csv, load_par_file
 from nlispec.mapio import IntensityMap, load_map, save_map
-from nlispec.retrieval import (RetrievalResult, _model_pattern,
-                               load_result_csv, retrieve, save_result_csv)
+from nlispec.retrieval import (RetrievalResult, load_result_csv, retrieve,
+                               save_result_csv)
 
 CFG = """\
 [crystal]
@@ -169,6 +169,19 @@ def test_result_table_rejects_wrong_magic(workdir, tmp_path):
         bad.write_text("\n".join([magic] + lines[1:]) + "\n")
         with pytest.raises(MapFormatError, match="not a retrieval result"):
             load_result_csv(bad)
+
+
+def test_result_table_rejects_another_column_header(workdir, tmp_path):
+    lines = (workdir / "result.csv").read_text().splitlines()
+    header = lines[2].split(",")
+    assert header[0] == "row"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:2] + [",".join(["index", *header[1:]])]
+                             + lines[3:]) + "\n")
+    with pytest.raises(MapFormatError,
+                       match=f"^{re.escape(str(bad))}: unexpected column "
+                             "header$"):
+        load_result_csv(bad)
 
 
 def test_config_data_paths_resolve_against_config_dir(tmp_path, monkeypatch,
@@ -993,6 +1006,34 @@ def test_bad_noise_option_fails_before_the_gas_is_built(tmp_path, monkeypatch,
     assert not (tmp_path / "x.nlm").exists()
 
 
+@pytest.mark.parametrize("extra", [[], ["--noise", "0.01"]])
+def test_unsupported_map_suffix_fails_before_the_gas_is_built(
+        tmp_path, monkeypatch, capsys, extra):
+    def no_gas(cfg):
+        pytest.fail("the gas was built before the output suffix was checked")
+
+    monkeypatch.setattr(cli, "build_gas", no_gas)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CFG)
+    out = tmp_path / "map.txt"
+    assert main(["simulate", str(cfg), "-o", str(out), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"nlispec: {out}: unsupported map suffix '.txt'")
+    assert not out.exists()
+
+
+def test_retrieve_every_below_one_fails_before_any_input_is_read(tmp_path,
+                                                                 capsys):
+    # none of the inputs exists: reading any of them would exit 1
+    absent = [str(tmp_path / name)
+              for name in ("s.nlm", "r.nlm", "run.cfg")]
+    assert main(["retrieve", *absent, "-o", str(tmp_path / "t.csv"),
+                 "--every", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "nlispec: config error: --every: must be at least 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_import_does_not_load_scipy():
     # the runtime is numpy only: importing scipy would dominate CLI start-up
     out = subprocess.run(
@@ -1084,9 +1125,8 @@ def test_retrieve_full_demo_nan_only_on_dark_rows(demo_dir, tmp_path, noise):
     reference = load_map(demo_dir / f"r{noise}.nlm")
     axes = sample.axes
     n_vis = gas_index(cfg.visible, cfg.pressure_torr, cfg.temperature_k)
-    phase_s, envelope, _ = _model_pattern(geom, axes.wavelength_nm,
-                                          axes.angle_rad, n_vis)
-    phase_r, _, _ = _model_pattern(geom, axes.wavelength_nm, axes.angle_rad)
+    phase_s, phase_r, envelope, _ = fringe_template(
+        geom, axes.wavelength_nm, axes.angle_rad, n_vis)
     dark = ((_projected_amplitude(sample.intensity, phase_s, envelope) <= 0)
             | (_projected_amplitude(reference.intensity, phase_r,
                                     envelope) <= 0))

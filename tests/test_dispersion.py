@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -228,11 +229,16 @@ def test_load_uniaxial_crystal():
         "[extraordinary]\nform = sellmeier-ratio\na0 = 1\npole1 = 2.5, 0.01\nvalid_um = 0.4, 2\n",
         "[ordinary]\nform = sellmeier-ratio\na0 = 1\npole1 = 2.5\nvalid_um = 0.4, 2\n"
         "[extraordinary]\nform = sellmeier-ratio\na0 = 1\npole1 = 2.5, 0.01\nvalid_um = 0.4, 2\n",
+        "[ordinary]\nform = sellmeier-ratio\na0 = 1\npole1 = 2.5, 0.01\nvalid_um = 0.4, 2\n"
+        "[extraordinary]\nform = sellmeier-ratio\na0 = 1\npole1 = 2.5, 0.01\nvalid_um = 0.4, 2\n"
+        "[thermal]\ndn_dt = 1e-5\n",
     ],
-    ids=["missing-section", "bad-form", "unknown-key", "missing-valid", "bad-pair"],
+    ids=["missing-section", "bad-form", "unknown-key", "missing-valid", "bad-pair",
+         "unknown-section"],
 )
 def test_malformed_coefficient_files_rejected(tmp_path, body):
+    # ConfigError is the CLI's exit 2; each message names the file
     p = tmp_path / "bad.nlc"
     p.write_text(body, encoding="utf-8")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}"):
         load_crystal_file(p)

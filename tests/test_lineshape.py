@@ -1,5 +1,8 @@
 import math
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -658,6 +661,18 @@ def test_save_line_csv_rewrites_the_shipped_list_byte_for_byte(tmp_path):
     for i, given in enumerate((lines, list(lines))):
         save_line_csv(tmp_path / f"{i}.csv", given)
         assert (tmp_path / f"{i}.csv").read_bytes() == want
+
+
+def test_generator_reproduces_the_shipped_list(tmp_path):
+    # tools/gen_demo_lines.py writes the list that every demo run reads
+    tool = pathlib.Path(__file__).parents[1] / "tools" / "gen_demo_lines.py"
+    out = tmp_path / "lines.csv"
+    run = subprocess.run([sys.executable, str(tool), str(out)],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "peak alpha at 10.5 Torr / 300.0 K: 0.4500 cm^-1" in run.stdout
+    assert out.read_bytes() == \
+        pathlib.Path(data_path("co2_synthetic_lines.csv")).read_bytes()
 
 
 def test_csv_load_peak_memory_is_a_table_of_the_lines(tmp_path):

@@ -16,6 +16,7 @@ from nlispec.dispersion import gas_index
 from nlispec.interferometer import (
     MapAxes,
     crystal_phase_mismatch,
+    fringe_template,
     gap_response,
     interference_intensity,
     row_blocks,
@@ -24,7 +25,7 @@ from nlispec.interferometer import (
 )
 from nlispec.cli import main
 from nlispec.mapio import IntensityMap, load_map, open_map, save_map
-from nlispec.retrieval import _model_pattern, fit_rows_model, retrieve
+from nlispec.retrieval import fit_rows_model, retrieve
 
 MIB = 2 ** 20
 DEMO_CFG = str(data_path("co2_demo.cfg"))
@@ -359,9 +360,8 @@ def test_retrieve_equals_block_fits_of_whole_map_templates(demo, axes150,
 
     idx = np.arange(150) if rows is None else np.asarray(rows)
     lam, theta = axes150.wavelength_nm[idx], axes150.angle_rad
-    phase_s, envelope, steepening = _model_pattern(demo.geom, lam, theta,
-                                                   demo.n_vis)
-    phase_r, _, _ = _model_pattern(demo.geom, lam, theta)
+    phase_s, phase_r, envelope, steepening = fringe_template(
+        demo.geom, lam, theta, demo.n_vis)
     est_s = _fit_in_blocks(sample.intensity[idx], envelope, phase_s,
                            steepening)
     est_r = _fit_in_blocks(reference.intensity[idx], envelope, phase_r,

@@ -10,11 +10,16 @@ conditions of the demo config; the list is for exercising the
 pipeline, not for spectroscopy.
 
 Strengths are normalised so the peak absorption coefficient at
-10.5 Torr / 300 K comes out near 0.45 cm^-1.
+10.5 Torr / 300 K comes out near 0.45 cm^-1.  The scale is pinned as a
+literal: recomputing it from the line sum moves its last digits with
+the sum's rounding, and two of the ten-digit strengths with it, so the
+tool prints the recomputed peak as the check instead.
 
-Usage: python3 tools/gen_demo_lines.py
+Usage: python3 tools/gen_demo_lines.py [OUTPUT]
+(OUTPUT defaults to the shipped src/nlispec/data/co2_synthetic_lines.csv)
 """
 
+import argparse
 import math
 import os
 import sys
@@ -40,10 +45,14 @@ N_AIR = 0.75
 MOLAR_MASS = 44.0095
 P_TORR = 10.5
 T_K = 300.0
-TARGET_PEAK_ALPHA = 0.45  # cm^-1
+# strength scale [cm^-1 / (molecule cm^-2)] putting the peak alpha at
+# 0.45 cm^-1
+STRENGTH_SCALE = 3.55588378866e-19
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "src", "nlispec",
+                       "data", "co2_synthetic_lines.csv")
 
 
-def make_lines(scale):
+def make_lines():
     lines = []
     for m in range(-N_EACH_SIDE, N_EACH_SIDE + 1):
         j = abs(m)
@@ -52,7 +61,7 @@ def make_lines(scale):
         weight = (j + 1) * math.exp(-C2_CM_K * elow / 296.0)
         lines.append(SpectralLine(
             nu0_cm=BAND_CENTER_CM + m * SPACING_CM,
-            strength=scale * weight,
+            strength=STRENGTH_SCALE * weight,
             gamma_air=GAMMA_AIR,
             gamma_self=GAMMA_SELF,
             elow_cm=elow,
@@ -70,12 +79,12 @@ def peak_alpha(lines):
     return float(alpha.max())
 
 
-def main():
-    probe = peak_alpha(make_lines(1.0e-18))
-    scale = 1.0e-18 * TARGET_PEAK_ALPHA / probe
-    lines = make_lines(scale)
-    out = os.path.join(os.path.dirname(__file__), "..", "src", "nlispec",
-                       "data", "co2_synthetic_lines.csv")
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Write the demo line list.")
+    parser.add_argument("output", nargs="?", default=SHIPPED,
+                        help="CSV line list (default: the shipped one)")
+    out = parser.parse_args(argv).output
+    lines = make_lines()
     save_line_csv(out, lines)
     print(f"wrote {len(lines)} lines to {out}")
     print(f"peak alpha at {P_TORR} Torr / {T_K} K: {peak_alpha(lines):.4f} cm^-1")
