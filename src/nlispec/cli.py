@@ -36,7 +36,7 @@ from .interferometer import (
     row_blocks,
     with_gaussian_noise,
 )
-from .mapio import _format_for, open_map, save_map_blocks
+from .mapio import _format_for, check_writable, open_map, save_map_blocks
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -93,7 +93,9 @@ def _cmd_simulate(args) -> int:
         broken = None if value is None else _nonnegative(value)
         if broken:
             raise ConfigError(f"{broken}, got {value}", key=option)
-    _format_for(args.output)   # an unsupported suffix fails before the gas
+    # an unsupported suffix or an unwritable output fails before the gas
+    _format_for(args.output)
+    check_writable(args.output)
     cfg = load_run_config(args.config)
     geom = build_geometry(cfg)
     axes = build_axes(cfg)
@@ -139,6 +141,7 @@ def _cmd_retrieve(args) -> int:
 
     if args.every < 1:
         raise ConfigError("must be at least 1", key="--every")
+    check_writable(args.output)
     cfg = load_run_config(args.config)
     geom = build_geometry(cfg)
     sample_vis = gas_index(cfg.visible, cfg.pressure_torr, cfg.temperature_k)

@@ -15,7 +15,10 @@ simulated measurement and checking them against each other is then a
 meaningful test, not a tautology.
 
 The caller gives the idler wavenumber grid; for a run that is
-`config.gas_grid`, which covers the map's idler band.  Wavelength
+`config.gas_grid`, which covers the map's idler band.  This module
+composes no line physics: alpha is `lineshape.absorption_coefficient`'s,
+which raises `ValidityRangeError` naming the quantity that overflows,
+and the index is `kk.index_change_from_absorption`'s.  Wavelength
 lookups interpolate linearly on the stored grid and refuse to
 extrapolate.
 """
@@ -31,8 +34,7 @@ from .errors import ValidityRangeError
 from .interferometer import nu_cm_from_lambda_nm
 from .kk import index_change_from_absorption
 from .lineshape import (DEFAULT_WING_CUTOFF_CM, LineArrays,
-                        absorption_coefficient, line_strength, lorentz_hwhm,
-                        number_density)
+                        absorption_coefficient)
 
 
 @dataclass(frozen=True)
@@ -72,10 +74,12 @@ class GasState:
         iterable of `SpectralLine`s) on the grid `nu_grid_cm`.
 
         The caller sizes the grid (`config.gas_grid` for a run).  alpha
-        comes from the line-by-line sum; the idler index is
+        comes from the line-by-line sum, whose overflow raises
+        `ValidityRangeError` there; the idler index is
         1 + baseline + KK[alpha], where the baseline is the visible
         n - 1 at this (P, T) (zero without a visible model), standing in
-        for all broadband dispersion from outside the window.
+        for all broadband dispersion from outside the window.  An index
+        outside (0, inf) raises `ValidityRangeError` too.
         """
         lines = LineArrays.of(lines)
         if not len(lines):
@@ -85,9 +89,6 @@ class GasState:
                                        x_self=x_self,
                                        wing_cutoff_cm=wing_cutoff_cm,
                                        partition_ratio=partition_ratio)
-        if not np.all(np.isfinite(alpha)):
-            raise ValidityRangeError("absorption overflows: " + _overflowed(
-                lines, p_torr, t_k, x_self, partition_ratio))
         baseline = gas_index(visible, p_torr, t_k) - 1.0
         index = 1.0 + index_change_from_absorption(alpha, nu, baseline=baseline)
         if not np.all(index > 0) or not np.all(np.isfinite(index)):
@@ -124,16 +125,4 @@ class GasState:
         """Refractive index at idler wavelength(s) [nm]."""
         return self._interp_idler(lambda_nm, self.idler_index,
                                   self.visible_index())
-
-
-def _overflowed(lines: LineArrays, p_torr, t_k, x_self,
-                partition_ratio) -> str:
-    """Which quantity of a line sum whose absorption is not finite left
-    floating-point range."""
-    if not np.all(np.isfinite(lorentz_hwhm(lines, p_torr, t_k, x_self))):
-        return "a Lorentz width is out of range"
-    if not np.all(np.isfinite(number_density(p_torr, t_k)
-                              * line_strength(lines, t_k, partition_ratio))):
-        return "a line strength times the density is out of range"
-    return "the sum of the lines is out of range"
 

@@ -37,7 +37,9 @@ transform costs O(N log N) time and O(N) memory.  At most four arrays of
 that length are alive at once: at N = 20,069 (dense_band) the transform
 peaks at 0.62 MiB of `tracemalloc`, and at the 200,001-point grid cap
 at 6.1 MiB.  `index_change_weights` writes the same rule out densely
-from the factored form, not from the FFT kernels.
+from the factored form, not from the FFT kernels.  Both FFT kernels are
+1 / (a + b t) at the integers t < count, zero-padded to the FFT length,
+so one routine, `_kernel`, builds them.
 """
 
 from __future__ import annotations
@@ -78,21 +80,13 @@ def fft_length(n: int) -> int:
     return best
 
 
-def _toeplitz_kernel(c: int, count: int, h: float, size: int) -> np.ndarray:
-    """1 / ((c - 2t) h) at t < `count` of `size` zeros; `c` is odd."""
+def _kernel(first: int, step: int, offset: float, count: int, h: float,
+            size: int) -> np.ndarray:
+    """1 / ((first + step t) h + offset) at t < `count` of `size` zeros."""
     kernel = np.zeros(size)
-    inv = np.arange(c, c - 2 * count, -2, dtype=float)
+    inv = np.arange(first, first + step * count, step, dtype=float)
     inv *= h
-    np.divide(1.0, inv, out=kernel[:count])
-    return kernel
-
-
-def _hankel_kernel(nu0: float, count: int, h: float, size: int) -> np.ndarray:
-    """1 / (2 nu_0 + (2t + 1) h) at t < `count` of `size` zeros."""
-    kernel = np.zeros(size)
-    inv = np.arange(1, 2 * count, 2, dtype=float)
-    inv *= h
-    inv += 2.0 * nu0
+    inv += offset
     np.divide(1.0, inv, out=kernel[:count])
     return kernel
 
@@ -129,7 +123,7 @@ def index_change_from_absorption(alpha_cm, nu_grid_cm, baseline: float = 0.0):
     # Targets of parity a take the sources of parity 1 - a, whose
     # convolutions span N - 1 entries (see `_opposite_parity_sum`).
     size = fft_length(n - 1)
-    hankel = np.fft.rfft(_hankel_kernel(nu[0], n - 1, h, size))
+    hankel = np.fft.rfft(_kernel(1, 2, 2.0 * nu[0], n - 1, h, size))
     out = np.empty(n)
     for a in (0, 1):
         out[a::2] = _opposite_parity_sum(alpha[1 - a::2], a, (n - a + 1) // 2,
@@ -156,7 +150,7 @@ def _opposite_parity_sum(source, a: int, count: int, h: float, hankel,
     """
     m = source.size
     rfft = np.fft.rfft
-    conv = rfft(_toeplitz_kernel(2 * m - 1 - 2 * a, m + count - 1, h, size))
+    conv = rfft(_kernel(2 * m - 1 - 2 * a, -2, 0.0, m + count - 1, h, size))
     conv *= rfft(source, size)
     reflected = rfft(source[::-1], size)
     reflected *= hankel

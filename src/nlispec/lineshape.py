@@ -83,7 +83,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import LineParseError, text_input
+from .errors import LineParseError, ValidityRangeError, text_input
 from .kk import checked_uniform_grid
 
 C_CM_S = 2.99792458e10          # speed of light [cm/s]
@@ -190,6 +190,10 @@ def _near(u, y):
     return out
 
 
+# molecule and isotopologue ids are whole numbers of magnitude below this
+_ID_LIMIT = 2**31
+
+
 @dataclass(frozen=True)
 class SpectralLine:
     """One molecular transition, parameters referenced to 296 K."""
@@ -215,6 +219,10 @@ class SpectralLine:
             raise ValueError(f"negative lower-state energy {self.elow_cm}")
         if not math.isfinite(self.n_air):
             raise ValueError(f"non-finite width exponent {self.n_air}")
+        for name in ("mol_id", "iso_id"):
+            value = getattr(self, name)
+            if not (abs(value) < _ID_LIMIT and value == int(value)):
+                raise ValueError(f"{name} {value!r} is not an integer id")
 
 
 # the fields of a line, in `SpectralLine`'s order
@@ -267,10 +275,6 @@ class LineArrays:
     def __iter__(self):
         return itertools.starmap(
             SpectralLine, zip(*(column.tolist() for column in self._columns())))
-
-
-# molecule and isotopologue ids are whole numbers of magnitude below this
-_ID_LIMIT = 2**31
 
 
 def _valid(nu0_cm, strength, gamma_air, gamma_self, elow_cm, n_air, *ids):
@@ -378,6 +382,10 @@ def absorption_coefficient(lines, nu_grid_cm, p_torr: float, t_k: float,
     grid point, and alpha >= 0.  Scratch is sized by a chunk of lines:
     with 2000 lines on a 22,419-point grid the call peaks at 1.81 MiB,
     under 2 MiB (`tracemalloc`).
+
+    The alpha returned is finite; else `ValidityRangeError` names what
+    overflowed: a Lorentz width, a line strength times the density, or
+    (both finite) the sum of the lines.
     """
     nu, h = checked_uniform_grid(nu_grid_cm)
     if not wing_cutoff_cm > 0:
@@ -387,7 +395,8 @@ def absorption_coefficient(lines, nu_grid_cm, p_torr: float, t_k: float,
     nu0 = fields.nu0_cm
     strength = dens * line_strength(fields, t_k, partition_ratio)
     scale = _profile_scale(doppler_hwhm(nu0, t_k, molar_mass_g))
-    y = lorentz_hwhm(fields, p_torr, t_k, x_self) / scale
+    width = lorentz_hwhm(fields, p_torr, t_k, x_self)
+    y = width / scale
     lo, hi = _line_windows(nu, nu0, wing_cutoff_cm)
     alpha = np.zeros_like(nu)
     two_grid = _two_grid_sum(alpha, nu, h, nu0, strength, scale, y, lo, hi,
@@ -400,6 +409,14 @@ def absorption_coefficient(lines, nu_grid_cm, p_torr: float, t_k: float,
     # every exact term is >= 0, so this only removes rounding residue
     # where a line's own interpolation cancels against the coarse sum
     np.maximum(alpha, 0.0, out=alpha)
+    if not np.all(np.isfinite(alpha)):
+        if not np.all(np.isfinite(width)):
+            cause = "a Lorentz width is out of range"
+        elif not np.all(np.isfinite(strength)):
+            cause = "a line strength times the density is out of range"
+        else:
+            cause = "the sum of the lines is out of range"
+        raise ValidityRangeError("absorption overflows: " + cause)
     return alpha
 
 

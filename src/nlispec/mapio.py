@@ -49,16 +49,19 @@ whole are the same bytes.
 All writes are atomic (temp file in the destination directory, then
 rename), so a crash never leaves a half-written file behind; a `.pgm`
 save that fails removes the image it already wrote.  A file is created
-as `open` creates it, mode 0666 less the umask.
+as `open` creates it, mode 0666 less the umask.  `check_writable` lets
+a command fail on an output it cannot write before it does any work.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import itertools
 import json
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -118,6 +121,23 @@ def _atomic_write_bytes(path, payload):
         if isinstance(exc, OSError) and exc.errno:  # name `path`, not `tmp`
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
+
+
+def check_writable(path) -> None:
+    """Raise, before any work, the OSError that writing `path` would:
+    its directory must exist and be a directory, and `path` must not be
+    a directory.  A write can still fail later; `_atomic_write_bytes`
+    then raises as it does here."""
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        code = (0 if stat.S_ISDIR(os.stat(directory).st_mode)
+                else errno.ENOTDIR)
+    except OSError as exc:
+        code = exc.errno
+    if not code and os.path.isdir(path):
+        code = errno.EISDIR
+    if code:
+        raise OSError(code, os.strerror(code), str(path))
 
 
 def _header_dict(axes: MapAxes, meta: dict) -> dict:

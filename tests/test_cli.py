@@ -318,25 +318,46 @@ def test_info_on_a_missing_map_names_the_reason(tmp_path, capsys, suffix,
     assert str(path) in err
 
 
-@pytest.mark.parametrize("target", ["missing directory", "directory"])
-@pytest.mark.parametrize("command", ["simulate", "retrieve"])
+@pytest.mark.parametrize("target", ["missing directory", "directory",
+                                    "file"])
+@pytest.mark.parametrize("command, name, extra", [
+    ("simulate", "x.nlm", []),
+    ("simulate", "x.nlm", ["--noise", "0.01"]),
+    ("simulate", "x.pgm", []),
+    ("retrieve", "x.csv", []),
+], ids=["simulate", "simulate-noise", "simulate-pgm", "retrieve"])
 def test_failed_write_names_the_output_file(workdir, tmp_path, capsys,
-                                            command, target):
-    out = tmp_path / ("x.nlm" if command == "simulate" else "x.csv")
+                                            monkeypatch, command, name,
+                                            extra, target):
+    # the output is checked before any work: no gas is built, no row fitted
+    import nlispec.retrieval as retrieval
+
+    def no_work(*args, **kwargs):
+        pytest.fail("work was done before the output was checked")
+
+    monkeypatch.setattr(cli, "build_gas", no_work)
+    monkeypatch.setattr(retrieval, "retrieve", no_work)
+    out = tmp_path / name
     if target == "directory":
         out.mkdir()
+    elif target == "file":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / name
     else:
-        out = tmp_path / "missing" / out.name
+        out = tmp_path / "missing" / name
     inputs = {"simulate": ["run.cfg"],
               "retrieve": ["sample.nlm", "reference.nlm", "run.cfg"]}
     code = main([command, *(str(workdir / f) for f in inputs[command]),
-                 "-o", str(out)])
+                 "-o", str(out), *extra])
     err = capsys.readouterr().err
     assert code == 1
-    assert f"'{out}'" in err and ".part" not in err
+    reason = {"missing directory": "[Errno 2] No such file or directory",
+              "directory": "[Errno 21] Is a directory",
+              "file": "[Errno 20] Not a directory"}[target]
+    assert f"{reason}: '{out}'" in err and ".part" not in err
     # nothing is left behind beside the output
-    assert [p.name for p in tmp_path.iterdir()] == (
-        [out.name] if target == "directory" else [])
+    left = {"missing directory": [], "directory": [name], "file": ["file"]}
+    assert [p.name for p in tmp_path.iterdir()] == left[target]
 
 
 def test_exit_code_corrupt_map(workdir, tmp_path):

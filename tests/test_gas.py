@@ -121,12 +121,29 @@ def test_state_validation():
 
 @pytest.mark.parametrize("edit, t_k, cause", [
     ({"n_air": 2000.0}, 200.0, "a Lorentz width"),
-    ({"elow_cm": 2e7}, 300.0, "a line strength"),
-], ids=["width", "strength"])
+    ({"elow_cm": 2e7}, 300.0, "a line strength times the density"),
+    # every factor is finite, the narrow line's S N phi is not
+    ({"strength": 1e290, "gamma_air": 0.07, "gamma_self": 0.1}, 296.0,
+     "the sum of the lines"),
+], ids=["width", "strength", "sum"])
 def test_from_lines_names_the_quantity_that_overflows(edit, t_k, cause):
     line = dataclasses.replace(BROAD, **edit)
     nu = np.linspace(1500.0, 3200.0, 1701)
-    with np.errstate(all="ignore"), \
-            pytest.raises(ValidityRangeError, match="overflows") as err:
-        GasState.from_lines([line], 10.5, t_k, 44.0, nu_grid_cm=nu)
-    assert cause in str(err.value)
+    message = f"^absorption overflows: {cause} is out of range$"
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValidityRangeError, match=message):
+            GasState.from_lines([line], 10.5, t_k, 44.0, nu_grid_cm=nu)
+        with pytest.raises(ValidityRangeError, match=message):
+            absorption_coefficient([line], nu, 10.5, t_k, 44.0)
+
+
+def test_strength_overflow_outside_the_grid_builds():
+    # the line's window misses the grid, so its overflow adds nothing
+    far = dataclasses.replace(BROAD, nu0_cm=3000.0, elow_cm=2e7)
+    nu = np.linspace(2300.0, 2400.0, 1001)
+    with np.errstate(all="ignore"):
+        gs = GasState.from_lines([BROAD, far], 10.5, 300.0, 44.0,
+                                 nu_grid_cm=nu, wing_cutoff_cm=25.0)
+        alone = GasState.from_lines([BROAD], 10.5, 300.0, 44.0,
+                                    nu_grid_cm=nu, wing_cutoff_cm=25.0)
+    assert np.array_equal(gs.idler_alpha_cm, alone.idler_alpha_cm)

@@ -786,6 +786,12 @@ def test_spectral_line_validation():
         SpectralLine(-1.0, 1e-19, 0.09, 0.14, 500.0, 0.75)
     with pytest.raises(ValueError):
         SpectralLine(2349.0, -1e-19, 0.09, 0.14, 500.0, 0.75)
+    # the ids `load_line_csv` and `load_par_file` accept: whole, below 2**31
+    for ids in ((2**31, 1), (2, -2**31), (2.5, 1), (2, math.nan)):
+        with pytest.raises(ValueError, match="is not an integer id"):
+            SpectralLine(2349.0, 1e-19, 0.09, 0.14, 500.0, 0.75, *ids)
+    assert SpectralLine(2349.0, 1e-19, 0.09, 0.14, 500.0, 0.75,
+                        2**31 - 1, 2.0).iso_id == 2
 
 
 @pytest.mark.parametrize("field", range(6))
